@@ -37,6 +37,7 @@ from .core import DEFAULT_TOLERANCE, Sequence, ToleranceConfig, classify
 from .interpolation import lagrange_polynomial, polynomial_convexity_on_interval, quadratic_piece, spline_eval
 from .sequence_io import read_sequence, write_sequence
 from .subadditivity import (
+    check_epsilon,
     decompose,
     epsilon_star,
     is_subadditive_pairwise,
@@ -271,13 +272,12 @@ def _cmd_epsilon(args, tol: ToleranceConfig, fmt: str) -> int:
 def _cmd_decompose(args, tol: ToleranceConfig, fmt: str) -> int:
     u = read_sequence(args.file)
     split = decompose(u)
-    witnesses = subadditive_hull(u).witnesses
     report = _base_report("decompose", u, tol)
     report["decomposition"] = {
         "v": list(split.v.values),
         "w": list(split.w.values),
         "epsilon_star": split.epsilon_star,
-        "witnesses": [list(w.parts) for w in witnesses],
+        "witnesses": [list(w.parts) for w in split.witnesses],
     }
     if args.out_v:
         write_sequence(args.out_v, split.v)
@@ -292,15 +292,14 @@ def _cmd_check_subadd(args, tol: ToleranceConfig, fmt: str) -> int:
     report = _base_report("check-subadd", u, tol)
     report["classification"] = classify(u, tol).as_dict()
     if args.eps is not None:
-        if args.eps < 0.0:
-            raise ValueError("epsilon must be finite and nonnegative")
+        eps = check_epsilon(args.eps)
         gap = epsilon_star(u)
-        ok = gap <= args.eps
+        ok = gap <= eps
         report["subadditivity"] = {
             "mode": "approx",
             "ok": ok,
             "violations": None,
-            "epsilon": args.eps,
+            "epsilon": eps,
             "epsilon_star": gap,
         }
     else:

@@ -7,9 +7,10 @@ The subadditive hull v of u is the largest subadditive sequence below u,
 
     v[n] = min over integer partitions n = j1 + ... + jk of u[j1] + ... + u[jk],
 
-computed by dynamic programming in O(N^2) with witness partitions.  The gap
-``epsilon_star = max(u[n] - v[n])`` is the smallest eps for which u is
-eps-approximately subadditive, and ``u = v + w`` with ``0 <= w <= eps``
+computed by one O(N^2) dynamic-programming pass that keeps a parent pointer
+per index; witness partitions are expanded from the pointers when read.
+The gap ``epsilon_star = max(u[n] - v[n])`` is the smallest eps for which u
+is eps-approximately subadditive, and ``u = v + w`` with ``0 <= w <= eps``
 splits any approximately subadditive sequence into an exactly subadditive
 part plus a small nonnegative remainder.  A brute-force oracle that
 enumerates partitions outright is kept alongside the DP so the two routes
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 from .core import DEFAULT_TOLERANCE, Sequence, ToleranceConfig
@@ -46,10 +47,22 @@ class PartitionWitness:
 
 @dataclass(frozen=True)
 class HullResult:
-    """Subadditive hull values plus one minimizing partition per index."""
+    """Hull v, remainder ``w = u - v`` with its maximum, and parent pointers.
+
+    ``witnesses`` expands ``last_part`` on first access and keeps the result.
+    """
 
     v: Sequence
-    witnesses: tuple[PartitionWitness, ...]
+    w: Sequence
+    epsilon_star: float
+    last_part: tuple[int, ...]
+
+    @cached_property
+    def witnesses(self) -> tuple[PartitionWitness, ...]:
+        parts_at: list[tuple[int, ...]] = [()]
+        for n, j in enumerate(self.last_part, 1):
+            parts_at.append((j,) + parts_at[n - j])
+        return tuple(PartitionWitness(n, parts_at[n]) for n in range(1, len(parts_at)))
 
 
 @dataclass(frozen=True)
@@ -60,13 +73,8 @@ class PairwiseCheck:
     violations: tuple[tuple[int, int], ...] = ()
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Split ``u = v + w`` into subadditive part v and remainder w."""
-
-    v: Sequence
-    w: Sequence
-    epsilon_star: float
+# ``decompose`` returns the hull result itself.
+Decomposition = HullResult
 
 
 @dataclass(frozen=True)
@@ -118,27 +126,15 @@ def hull_bruteforce(u: Sequence, n: int) -> float:
     return min(sum(vals[p - 1] for p in parts) for parts in _partition_tuples(n))
 
 
-def _hull_values(u: Sequence) -> list[float]:
-    vals = u.values
-    n_max = len(vals)
-    v = [0.0] * (n_max + 1)  # 1-based; v[0] unused
-    for n in range(1, n_max + 1):
-        best = vals[n - 1]
-        for j in range(1, n):
-            cand = vals[j - 1] + v[n - j]
-            if cand < best:
-                best = cand
-        v[n] = best
-    return v
-
-
 def subadditive_hull(u: Sequence) -> HullResult:
-    """Largest subadditive sequence below u, with witness partitions.
+    """Largest subadditive sequence below u, in one pass with parent pointers.
 
     ``v[1] = u[1]`` and ``v[n] = min(u[n], min over j of u[j] + v[n-j])``.
-    Witnesses are rebuilt by preferring the smallest part j at every step
-    that attains the minimum, which yields the lexicographically smallest
-    canonical partition among all minimizers.
+    ``last_part[n - 1]`` is the smallest j whose split attains v[n], or n
+    when none does; the witness of n is j followed by the witness of n - j,
+    the lexicographically smallest canonical partition among all minimizers.
+    Tie rule: a split that ties with u[n] is the witness, but v[n] keeps
+    the bits of u[n] (``-0.0`` stays ``-0.0``).
 
     >>> hull = subadditive_hull(Sequence((1.0, 3.0, 2.0)))
     >>> hull.v.values
@@ -148,22 +144,20 @@ def subadditive_hull(u: Sequence) -> HullResult:
     """
     _require_base1(u)
     vals = u.values
-    v = _hull_values(u)
-    parts_at: list[tuple[int, ...]] = [()] * (len(vals) + 1)
-    for n in range(1, len(vals) + 1):
-        chosen = None
+    v = [0.0]  # 1-based; v[0] unused
+    last_part = []
+    for n, un in enumerate(vals, 1):
+        best, part = math.inf, n
         for j in range(1, n):
-            if vals[j - 1] + v[n - j] == v[n]:
-                chosen = (j,) + parts_at[n - j]
-                break
-        if chosen is None:
-            # No split attains the optimum, so the trivial partition does.
-            chosen = (n,)
-        parts_at[n] = chosen
-    witnesses = tuple(
-        PartitionWitness(n, parts_at[n]) for n in range(1, len(vals) + 1)
-    )
-    return HullResult(Sequence(tuple(v[1:]), 1), witnesses)
+            cand = vals[j - 1] + v[n - j]
+            if cand < best:
+                best, part = cand, j
+        if best > un:
+            part = n
+        v.append(best if best < un else un)
+        last_part.append(part)
+    w = tuple(a - b for a, b in zip(vals, v[1:]))
+    return HullResult(Sequence(tuple(v[1:]), 1), Sequence(w, 1), max(w), tuple(last_part))
 
 
 def is_subadditive_pairwise(
@@ -187,9 +181,15 @@ def epsilon_star(u: Sequence) -> float:
     the trivial partition makes ``v[n] <= u[n]``.  Reported exactly as
     computed, with no tolerance snapping.
     """
-    _require_base1(u)
-    v = _hull_values(u)
-    return max(u.values[n - 1] - v[n] for n in range(1, len(u) + 1))
+    return subadditive_hull(u).epsilon_star
+
+
+def check_epsilon(epsilon: float) -> float:
+    """``epsilon`` as a float; ValueError unless it is finite and nonnegative."""
+    epsilon = float(epsilon)
+    if not math.isfinite(epsilon) or epsilon < 0.0:
+        raise ValueError("epsilon must be finite and nonnegative")
+    return epsilon
 
 
 def is_approx_subadditive(u: Sequence, epsilon: float) -> bool:
@@ -199,26 +199,18 @@ def is_approx_subadditive(u: Sequence, epsilon: float) -> bool:
     ``epsilon_star(u)``, so the check is a single comparison rather than an
     enumeration.
     """
-    epsilon = float(epsilon)
-    if not math.isfinite(epsilon) or epsilon < 0.0:
-        raise ValueError("epsilon must be finite and nonnegative")
+    epsilon = check_epsilon(epsilon)
     return epsilon_star(u) <= epsilon
 
 
-def decompose(u: Sequence) -> Decomposition:
+def decompose(u: Sequence) -> HullResult:
     """Split u into its subadditive hull v and the remainder ``w = u - v``.
 
-    w is entrywise in ``[0, epsilon_star(u)]``; on integer-valued input the
-    split is exact and ``v + w`` reproduces u bitwise.
+    The hull's own result, witnesses included.  w is entrywise in
+    ``[0, epsilon_star]``; on integer-valued input the split is exact and
+    ``v + w`` reproduces u bitwise.
     """
-    _require_base1(u)
-    v = _hull_values(u)
-    w = tuple(u.values[n - 1] - v[n] for n in range(1, len(u) + 1))
-    return Decomposition(
-        Sequence(tuple(v[1:]), 1),
-        Sequence(w, 1),
-        max(w),
-    )
+    return subadditive_hull(u)
 
 
 def compose(

@@ -223,6 +223,8 @@ def test_error_exits_with_one_line_diagnostic(tmp_path, capsys):
         ["spline", pair],
         ["spline", base0, "--samples", "0"],
         ["check-subadd", _write(tmp_path, "ok.csv", "1\n2\n"), "--eps", "-1"],
+        ["check-subadd", _write(tmp_path, "ok.csv", "1\n2\n"), "--eps", "nan"],
+        ["check-subadd", _write(tmp_path, "ok.csv", "1\n2\n"), "--eps", "inf"],
         [],
     ]
     for argv in cases:

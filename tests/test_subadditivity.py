@@ -90,6 +90,23 @@ def test_subadditive_hull_examples():
     with pytest.raises(ValueError, match="index base 1"):
         subadditive_hull(Sequence((1, 2), 0))
 
+    # A split that ties with u[n] is the witness, but v[n] keeps u[n]'s bits.
+    hull = subadditive_hull(Sequence((-0.0, 0.0)))
+    assert [repr(x) for x in hull.v.values] == ["-0.0", "0.0"]
+    assert [w.parts for w in hull.witnesses] == [(1,), (1, 1)]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ValueError,
+    reason="float sums are not associative: at n=5 the j=3 split rounds below "
+    "j=1, so the rebuilt witness (3, 1, 1) is not nondecreasing",
+)
+def test_hull_witnesses_survive_float_rounding():
+    u = Sequence((-0.018, -0.034, -53959.166, -0.0, 249.059))
+    hull = subadditive_hull(u)
+    assert [w.n for w in hull.witnesses] == [1, 2, 3, 4, 5]
+
 
 def test_hull_matches_bruteforce_on_random_integers():
     rng = random.Random(1212)
