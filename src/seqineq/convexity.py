@@ -15,7 +15,10 @@ disagreement beyond tolerance is a bug, not a property of the input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import DEFAULT_TOLERANCE, Sequence, ToleranceConfig
 
@@ -152,31 +155,31 @@ def support_sequence(u: Sequence) -> SupportSequence:
     with the lexicographically smallest minimizing pair.  For a convex u
     this minimum is the adjacent slope ``u[n+1] - u[n]`` and v is monotone;
     for a non-convex u the candidate always fails :func:`verify_support`.
+    The work is O(N^2), done as N numpy rows, one per n1.
     """
     if len(u) < 2:
         raise ValueError("sequence too short")
-    vals = u.values
+    vals = np.array(u.values)
     base = u.start_index
     count = len(vals) - 1
+    steps = np.arange(1.0, count + 1)
     v = [0.0] * count
     witnesses: list[tuple[int, int]] = [(0, 0)] * count
-    best = None
+    best = math.inf
     best_pair = (0, 0)
-    # Suffix scan: pairs starting at n1 are folded into the running minimum
-    # for every n <= n1.  Ties prefer smaller n1, then smaller n2.
-    for i in range(count - 1, -1, -1):
-        row_best = None
-        row_pair = (0, 0)
-        for j in range(i + 1, len(vals)):
-            s = (vals[j] - vals[i]) / (j - i)
-            if row_best is None or s < row_best:
-                row_best = s
-                row_pair = (base + i, base + j)
-        if best is None or row_best <= best:
-            best = row_best
-            best_pair = row_pair
-        v[i] = best
-        witnesses[i] = best_pair
+    # Suffix scan: row i holds the slopes of the pairs starting at n1 = i,
+    # folded into the running minimum for every n <= n1.  Ties prefer
+    # smaller n1 (``<=``), then smaller n2 (argmin takes the first minimum).
+    with np.errstate(over="ignore"):
+        for i in range(count - 1, -1, -1):
+            row = (vals[i + 1 :] - vals[i]) / steps[: count - i]
+            k = int(row.argmin())
+            row_best = row.item(k)
+            if row_best <= best:
+                best = row_best
+                best_pair = (base + i, base + i + 1 + k)
+            v[i] = best
+            witnesses[i] = best_pair
     return SupportSequence(
         base=u,
         values=tuple(v),
@@ -199,17 +202,17 @@ def verify_support(
     """
     if not (u.start_index <= s.first_index and s.last_index <= u.last_index):
         raise ValueError("support window outside sequence range")
-    sub = []
-    for n in range(s.first_index, s.last_index + 1):
-        vn = s.value_at(n)
-        un = u[n]
-        for m in u.indices():
-            if not tol.leq(un - u[m], vn * (n - m)):
+    vals = np.array(u.values)
+    v = np.array(s.values, dtype=float)
+    ms = np.arange(float(u.start_index), u.last_index + 1)
+    sub: list[tuple[int, int]] = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, vn in enumerate(v.tolist(), s.first_index):
+            ok = tol.leq_mask(u[n] - vals, vn * (n - ms))
+            for m in (np.flatnonzero(~ok) + u.start_index).tolist():
                 sub.append((m, n))
-    mono = []
-    for n in range(s.first_index, s.last_index):
-        if not tol.leq(s.value_at(n), s.value_at(n + 1)):
-            mono.append((n, n + 1))
+    bad = np.flatnonzero(~tol.leq_mask(v[:-1], v[1:])) + s.first_index
+    mono = [(n, n + 1) for n in bad.tolist()]
     return SupportCheck(not sub and not mono, tuple(sub), tuple(mono))
 
 

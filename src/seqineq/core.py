@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class ToleranceConfig:
@@ -45,6 +47,16 @@ class ToleranceConfig:
         """Whether ``x <= y`` holds within tolerance."""
         return x <= y + self.slack(x, y)
 
+    def leq_mask(self, x, y) -> np.ndarray:
+        """:meth:`leq` elementwise over arrays, with the same verdicts.
+
+        ``np.fmax`` keeps ``abs_tol`` where ``rel_tol * inf`` is nan, as
+        Python's ``max`` does; a nan in ``x`` or ``y`` fails either way.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.maximum(np.abs(x), np.abs(y))
+            return x <= y + np.fmax(self.abs_tol, self.rel_tol * scale)
+
     def geq(self, x: float, y: float) -> bool:
         return self.leq(y, x)
 
@@ -71,7 +83,15 @@ class Sequence:
     start_index: int = 1
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
+        vals = []
+        for k, v in enumerate(self.values):
+            try:
+                vals.append(float(v))
+            except OverflowError:
+                raise ValueError(
+                    f"sequence entry u[{self.start_index + k}] is out of float range"
+                ) from None
+        vals = tuple(vals)
         if not vals:
             raise ValueError("sequence must be nonempty")
         if any(not math.isfinite(v) for v in vals):

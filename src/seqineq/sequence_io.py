@@ -61,7 +61,7 @@ def parse_sequence_json(text: str) -> Sequence:
     start_index = doc.get("start_index", 1)
     if not isinstance(start_index, int) or isinstance(start_index, bool):
         raise ValueError('"start_index" must be an integer')
-    return Sequence(tuple(float(x) for x in values), start_index)
+    return Sequence(tuple(values), start_index)
 
 
 def format_sequence_csv(u: Sequence) -> str:

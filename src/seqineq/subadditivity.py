@@ -7,8 +7,9 @@ The subadditive hull v of u is the largest subadditive sequence below u,
 
     v[n] = min over integer partitions n = j1 + ... + jk of u[j1] + ... + u[jk],
 
-computed by one O(N^2) dynamic-programming pass that keeps a parent pointer
-per index; witness partitions are expanded from the pointers when read.
+computed by one O(N^2) dynamic-programming pass, one numpy row per index,
+that keeps a parent pointer per index; witness partitions are expanded from
+the pointers when read.
 The gap ``epsilon_star = max(u[n] - v[n])`` is the smallest eps for which u
 is eps-approximately subadditive, and ``u = v + w`` with ``0 <= w <= eps``
 splits any approximately subadditive sequence into an exactly subadditive
@@ -23,6 +24,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
+
+import numpy as np
 
 from .core import DEFAULT_TOLERANCE, Sequence, ToleranceConfig
 
@@ -143,21 +146,25 @@ def subadditive_hull(u: Sequence) -> HullResult:
     [(1,), (1, 1), (3,)]
     """
     _require_base1(u)
-    vals = u.values
-    v = [0.0]  # 1-based; v[0] unused
+    vals = np.array(u.values)
+    v = np.zeros(len(vals) + 1)  # 1-based; v[0] unused
     last_part = []
-    for n, un in enumerate(vals, 1):
-        best, part = math.inf, n
-        for j in range(1, n):
-            cand = vals[j - 1] + v[n - j]
-            if cand < best:
-                best, part = cand, j
-        if best > un:
-            part = n
-        v.append(best if best < un else un)
-        last_part.append(part)
-    w = tuple(a - b for a, b in zip(vals, v[1:]))
-    return HullResult(Sequence(tuple(v[1:]), 1), Sequence(w, 1), max(w), tuple(last_part))
+    # Row n holds every split sum u[j] + v[n - j]; argmin takes the first
+    # minimizer, as a strict ``<`` scan would.
+    with np.errstate(over="ignore"):
+        for n, un in enumerate(u.values, 1):
+            best, part = math.inf, n
+            if n > 1:
+                row = vals[: n - 1] + v[n - 1 : 0 : -1]
+                j = int(row.argmin())
+                best, part = row.item(j), j + 1
+            if best > un:
+                part = n
+            v[n] = best if best < un else un
+            last_part.append(part)
+    v_vals = tuple(v[1:].tolist())
+    w = tuple(a - b for a, b in zip(u.values, v_vals))
+    return HullResult(Sequence(v_vals, 1), Sequence(w, 1), max(w), tuple(last_part))
 
 
 def is_subadditive_pairwise(
@@ -165,11 +172,14 @@ def is_subadditive_pairwise(
 ) -> PairwiseCheck:
     """Check ``u[m+n] <= u[m] + u[n]`` for all m <= n with m+n in range."""
     _require_base1(u)
+    vals = np.array(u.values)
     last = u.last_index
-    violations = []
-    for m in range(1, last + 1):
-        for n in range(m, last - m + 1):
-            if not tol.leq(u[m + n], u[m] + u[n]):
+    violations: list[tuple[int, int]] = []
+    # Row m compares u[2m:] with u[m] + u[m:last-m+1], over n = m..last-m.
+    with np.errstate(over="ignore"):
+        for m in range(1, last // 2 + 1):
+            ok = tol.leq_mask(vals[2 * m - 1 :], vals[m - 1] + vals[m - 1 : last - m])
+            for n in (np.flatnonzero(~ok) + m).tolist():
                 violations.append((m, n))
     return PairwiseCheck(not violations, tuple(violations))
 

@@ -225,6 +225,7 @@ def test_error_exits_with_one_line_diagnostic(tmp_path, capsys):
         ["check-subadd", _write(tmp_path, "ok.csv", "1\n2\n"), "--eps", "-1"],
         ["check-subadd", _write(tmp_path, "ok.csv", "1\n2\n"), "--eps", "nan"],
         ["check-subadd", _write(tmp_path, "ok.csv", "1\n2\n"), "--eps", "inf"],
+        ["check-convex", _write(tmp_path, "huge.json", '{"values": [1, 1%s]}' % ("0" * 400))],
         [],
     ]
     for argv in cases:

@@ -35,6 +35,8 @@ def test_sequence_rejects_bad_input():
         Sequence((1.0,), 2)
     with pytest.raises(ValueError):
         Sequence((1.0,), -1)
+    with pytest.raises(ValueError, match=r"u\[2\] is out of float range"):
+        Sequence((1, 10**400))
 
 
 def test_sequence_absolute_indexing():

@@ -1,0 +1,253 @@
+"""Vectorized O(N^2) kernels against the pure-Python loops they replaced.
+
+The four ``_reference_*`` functions below are the scalar double loops the
+package used before its kernels were written as numpy rows.  They are kept
+here, and only here, as oracles: values, witnesses and violation lists must
+match them bit for bit (compared through ``repr``), including signed zeros,
+floats across many magnitudes and sums that overflow to infinity.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+import random
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from seqineq import (
+    Sequence,
+    ToleranceConfig,
+    is_subadditive_pairwise,
+    subadditive_hull,
+    support_sequence,
+    verify_support,
+)
+from seqineq.convexity import SupportSequence
+
+TOLERANCES = (ToleranceConfig(), ToleranceConfig(abs_tol=0.0, rel_tol=0.0))
+
+
+# ------------------------------------------------------------------ oracles
+
+def _reference_support(u: Sequence):
+    vals = u.values
+    base = u.start_index
+    count = len(vals) - 1
+    v = [0.0] * count
+    witnesses = [(0, 0)] * count
+    best = None
+    best_pair = (0, 0)
+    for i in range(count - 1, -1, -1):
+        row_best = None
+        row_pair = (0, 0)
+        for j in range(i + 1, len(vals)):
+            s = (vals[j] - vals[i]) / (j - i)
+            if row_best is None or s < row_best:
+                row_best = s
+                row_pair = (base + i, base + j)
+        if best is None or row_best <= best:
+            best = row_best
+            best_pair = row_pair
+        v[i] = best
+        witnesses[i] = best_pair
+    return tuple(v), tuple(witnesses)
+
+
+def _reference_verify(u: Sequence, s: SupportSequence, tol: ToleranceConfig):
+    sub = []
+    for n in range(s.first_index, s.last_index + 1):
+        vn = s.value_at(n)
+        un = u[n]
+        for m in u.indices():
+            if not tol.leq(un - u[m], vn * (n - m)):
+                sub.append((m, n))
+    mono = []
+    for n in range(s.first_index, s.last_index):
+        if not tol.leq(s.value_at(n), s.value_at(n + 1)):
+            mono.append((n, n + 1))
+    return not sub and not mono, tuple(sub), tuple(mono)
+
+
+def _reference_hull(u: Sequence):
+    vals = u.values
+    v = [0.0]
+    last_part = []
+    for n, un in enumerate(vals, 1):
+        best, part = math.inf, n
+        for j in range(1, n):
+            cand = vals[j - 1] + v[n - j]
+            if cand < best:
+                best, part = cand, j
+        if best > un:
+            part = n
+        v.append(best if best < un else un)
+        last_part.append(part)
+    w = tuple(a - b for a, b in zip(vals, v[1:]))
+    return Sequence(tuple(v[1:]), 1).values, Sequence(w, 1).values, max(w), tuple(last_part)
+
+
+def _reference_pairwise(u: Sequence, tol: ToleranceConfig):
+    last = u.last_index
+    violations = []
+    for m in range(1, last + 1):
+        for n in range(m, last - m + 1):
+            if not tol.leq(u[m + n], u[m] + u[n]):
+                violations.append((m, n))
+    return tuple(violations)
+
+
+# ----------------------------------------------------------------- families
+
+def _small_int(rng: random.Random) -> float:
+    return float(rng.randint(-20, 20))
+
+
+def _wide_float(rng: random.Random) -> float:
+    return rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-300, 299)
+
+
+def _signed_zero(rng: random.Random) -> float:
+    return rng.choice((0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 1.0, -1.0))
+
+
+def _near_overflow(rng: random.Random) -> float:
+    magnitude = rng.choice((1.7e308, 1.7976931348623157e308, 9e307, 1e308, 0.0))
+    return rng.choice((-1.0, 1.0)) * magnitude
+
+
+FAMILIES = {
+    "small-int": _small_int,
+    "wide-float": _wide_float,
+    "signed-zero": _signed_zero,
+    "near-overflow": _near_overflow,
+}
+LENGTHS = range(1, 61)
+
+
+def _cases(family: str):
+    draw = FAMILIES[family]
+    rng = random.Random(f"kernels-{family}")
+    for length in LENGTHS:
+        yield length, tuple(draw(rng) for _ in range(length)), rng
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _hull_fields(u: Sequence):
+    hull = subadditive_hull(u)
+    return hull.v.values, hull.w.values, hull.epsilon_star, hull.last_part
+
+
+def _verify_fields(u: Sequence, s: SupportSequence, tol: ToleranceConfig):
+    check = verify_support(u, s, tol)
+    return check.ok, check.subgradient_violations, check.monotonicity_violations
+
+
+# -------------------------------------------------------------------- tests
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_support_kernels_match_reference(family):
+    for length, values, rng in _cases(family):
+        for base in (0, 1):
+            u = Sequence(values, base)
+            if length < 2:
+                with pytest.raises(ValueError, match="too short"):
+                    support_sequence(u)
+                continue
+            s = support_sequence(u)
+            assert repr((s.values, s.witness_pairs)) == repr(_reference_support(u))
+            if base != length // 2 % 2:
+                continue
+            # Odd lengths verify the canonical candidate, even lengths a
+            # foreign one that fills both violation lists.  Base, candidate
+            # and tolerance take all eight combinations within any 8 lengths.
+            candidate = s if length % 2 else SupportSequence(
+                u, tuple(FAMILIES[family](rng) for _ in range(length - 1)), base, u.last_index - 1
+            )
+            tol = TOLERANCES[length // 4 % 2]
+            assert _outcome(_verify_fields, u, candidate, tol) == _outcome(
+                _reference_verify, u, candidate, tol
+            )
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_subadditivity_kernels_match_reference(family):
+    for _, values, _ in _cases(family):
+        u = Sequence(values, 1)
+        assert _outcome(_hull_fields, u) == _outcome(_reference_hull, u)
+        for tol in TOLERANCES:
+            assert repr(is_subadditive_pairwise(u, tol).violations) == repr(
+                _reference_pairwise(u, tol)
+            )
+
+
+SPECIALS = (0.0, -0.0, 1e-9, -1e-9, 1e-300, 5e-324, 1.0, -1.0, 1e300, -1e300,
+            1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("tol", [ToleranceConfig(), ToleranceConfig(0.0, 0.0),
+                                 ToleranceConfig(abs_tol=0.5, rel_tol=0.0),
+                                 ToleranceConfig(abs_tol=0.0, rel_tol=1e-3)])
+def test_leq_mask_matches_leq_elementwise(tol):
+    rng = random.Random(7)
+    xs = list(SPECIALS) + [_wide_float(rng) for _ in range(300)]
+    ys = list(SPECIALS) + [_wide_float(rng) for _ in range(300)]
+    # Near neighbours, so that the tolerance boundary itself is exercised.
+    ys += [x * (1.0 + rng.choice((-2e-9, -1e-9, 0.0, 1e-9, 2e-9))) for x in xs[len(SPECIALS):]]
+    xs += xs[len(SPECIALS):]
+    pairs = [(x, y) for x in xs[:40] for y in ys[:40]] + list(zip(xs, ys))
+    x = np.array([p[0] for p in pairs])
+    y = np.array([p[1] for p in pairs])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mask = tol.leq_mask(x, y)
+    assert mask.tolist() == [tol.leq(a, b) for a, b in pairs]
+
+
+BIG = (1.7e308, 1.7e308, 1.7e308, 1.7e308)
+MIXED = (1.7e308, -1.7e308, 1.7e308, -1.7e308)
+
+
+@pytest.mark.parametrize("values", [BIG, MIXED])
+def test_kernels_raise_no_numpy_warnings(values):
+    u = Sequence(values, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = support_sequence(u)
+        verify_support(u, s)
+        verify_support(u, SupportSequence(u, (math.inf, -math.inf, 0.0), 1, 3))
+        if values == BIG:
+            subadditive_hull(u)
+        else:
+            # The hull reaches -inf, so w = u - v is not finite.
+            with pytest.raises(ValueError):
+                subadditive_hull(u)
+        is_subadditive_pairwise(u)
+        is_subadditive_pairwise(u, ToleranceConfig(0.0, 0.0))
+
+
+@pytest.mark.parametrize("command", ["support", "hull", "epsilon"])
+def test_cli_on_overflowing_input_writes_nothing_to_stderr(tmp_path, command):
+    path = tmp_path / "big.csv"
+    path.write_text("".join(f"{x!r}\n" for x in BIG))
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "seqineq.cli", command, str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
