@@ -20,7 +20,9 @@ numbers, wrong index base, unknown flags); a one-line diagnostic goes to
 stderr.  Reports are JSON documents with a fixed key set (see
 ``schemas/report.schema.json``); ``--format csv`` flattens the same report
 into key,value rows, except for ``spline`` where CSV emits plot data.
-Numbers are serialized with shortest round-trip formatting.
+Numbers are serialized with shortest round-trip formatting.  The JSON layout
+is exactly that of ``json.dumps(report, indent=2)``; the tests pin it, both
+against ``json.dumps`` on random trees and on every command's report.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ import csv
 import importlib.resources
 import json
 import sys
+import warnings
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .convexity import certify_convexity, support_sequence
@@ -152,9 +156,69 @@ def _flatten(prefix: str, node, rows: list[tuple[str, str]]) -> None:
         rows.append((prefix, json.dumps(node)))
 
 
+# One-line JSON with the C encoder (``json.dumps(indent=2)`` never uses it).
+_encode = json.JSONEncoder(check_circular=False).encode
+
+
+def _json_chunks(node, indent: str, out: list[str]) -> None:
+    """Append ``node`` to ``out`` laid out as ``json.dumps(node, indent=2)``.
+
+    ``indent`` is the indentation of the line ``node`` starts on.  An array of
+    numbers, bools and nulls, or an array of such non-empty arrays, is
+    encoded in one call to the C encoder and re-indented by string
+    replacement.  Any array whose text holds a string (as every non-empty
+    object does) or an empty array is walked item by item instead: a string
+    could hold the separators that the replacement looks for, and ``[]``
+    stays on one line.  ``{}`` stays on one line too, like a number.  Object
+    keys must be strings.
+    """
+    inner = indent + "  "
+    if isinstance(node, dict):
+        if not node:
+            out.append("{}")
+            return
+        sep = "{\n"
+        for key, value in node.items():
+            out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _json_chunks(value, inner, out)
+            sep = ",\n"
+        out.append(f"\n{indent}}}")
+    elif isinstance(node, (list, tuple)):
+        if not node:
+            out.append("[]")
+            return
+        text = _encode(node)
+        if '"' not in text and "[]" not in text:
+            if text.count("[") == 1:
+                body = text[1:-1].replace(", ", ",\n" + inner)
+                out.append(f"[\n{inner}{body}\n{indent}]")
+                return
+            # Only an array of arrays of scalars opens with "[[", closes
+            # with "]]" and opens every other array right after "], [".
+            if (text.startswith("[[") and text.endswith("]]")
+                    and text.count("[") == text.count("], [") + 2):
+                inner2 = inner + "  "
+                body = (text[2:-2]
+                        .replace("], [", f"\n{inner}],\n{inner}[\n{inner2}")
+                        .replace(", ", ",\n" + inner2))
+                out.append(f"[\n{inner}[\n{inner2}{body}\n{inner}]\n{indent}]")
+                return
+        sep = "[\n"
+        for item in node:
+            out.append(sep + inner)
+            _json_chunks(item, inner, out)
+            sep = ",\n"
+        out.append(f"\n{indent}]")
+    else:
+        out.append(_encode(node))
+
+
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(report, indent=2))
+        chunks: list[str] = []
+        _json_chunks(report, "", chunks)
+        sys.stdout.writelines(chunks)
+        sys.stdout.write("\n")
         return
     rows: list[tuple[str, str]] = []
     _flatten("", report, rows)
@@ -170,7 +234,7 @@ def _cmd_check_convex(args, tol: ToleranceConfig, fmt: str) -> int:
     report["classification"] = classify(u, tol).as_dict()
     report["convexity"] = {
         "is_convex": cert.is_convex,
-        "defining_violations": [[n, defect] for n, defect in cert.defining.violations],
+        "defining_violations": cert.defining.violations,
         "slopes_ok": cert.slopes_ok,
         "first_violating_triple": list(cert.slope_violation) if cert.slope_violation else None,
         "support_ok": cert.support_ok,
@@ -186,8 +250,8 @@ def _cmd_support(args, tol: ToleranceConfig, fmt: str) -> int:
     report["support"] = {
         "first_index": s.first_index,
         "last_index": s.last_index,
-        "values": list(s.values),
-        "witness_pairs": [list(pair) for pair in (s.witness_pairs or ())],
+        "values": s.values,
+        "witness_pairs": s.witness_pairs or (),
     }
     _emit(report, fmt)
     return EXIT_OK
@@ -224,7 +288,7 @@ def _cmd_spline(args, tol: ToleranceConfig, fmt: str) -> int:
             for piece in pieces
         ],
         "samples_per_unit": per_unit,
-        "samples": [[x, y] for x, y in samples],
+        "samples": samples,
     }
     _emit(report, fmt)
     return EXIT_OK
@@ -242,7 +306,7 @@ def _cmd_lagrange(args, tol: ToleranceConfig, fmt: str) -> int:
         convexity_class = None
     report = _base_report("lagrange", u, tol)
     report["lagrange"] = {
-        "coefficients": list(p.coefficients),
+        "coefficients": p.coefficients,
         "degree": p.degree,
         "interval": interval,
         "convexity_class": convexity_class,
@@ -256,8 +320,8 @@ def _cmd_hull(args, tol: ToleranceConfig, fmt: str) -> int:
     result = subadditive_hull(u)
     report = _base_report("hull", u, tol)
     report["hull"] = {
-        "v": list(result.v.values),
-        "witnesses": [list(w.parts) for w in result.witnesses],
+        "v": result.v.values,
+        "witnesses": [w.parts for w in result.witnesses],
     }
     _emit(report, fmt)
     return EXIT_OK
@@ -274,10 +338,10 @@ def _cmd_decompose(args, tol: ToleranceConfig, fmt: str) -> int:
     split = decompose(u)
     report = _base_report("decompose", u, tol)
     report["decomposition"] = {
-        "v": list(split.v.values),
-        "w": list(split.w.values),
+        "v": split.v.values,
+        "w": split.w.values,
         "epsilon_star": split.epsilon_star,
-        "witnesses": [list(w.parts) for w in split.witnesses],
+        "witnesses": [w.parts for w in split.witnesses],
     }
     if args.out_v:
         write_sequence(args.out_v, split.v)
@@ -308,7 +372,7 @@ def _cmd_check_subadd(args, tol: ToleranceConfig, fmt: str) -> int:
         report["subadditivity"] = {
             "mode": "pairwise",
             "ok": ok,
-            "violations": [list(pair) for pair in check.violations],
+            "violations": check.violations,
             "epsilon": None,
             "epsilon_star": None,
         }
@@ -328,6 +392,11 @@ _COMMANDS = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    # Diagnostics stay one line on stderr, without a source location.
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run_cli(argv: list[str]) -> int:
     """Run one command line; returns the exit code instead of raising."""
     parser = _build_parser()
@@ -338,7 +407,9 @@ def run_cli(argv: list[str]) -> int:
             getattr(args, "rel_tol", DEFAULT_TOLERANCE.rel_tol),
         )
         fmt = getattr(args, "format", "json")
-        return _COMMANDS[args.command](args, tol, fmt)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return _COMMANDS[args.command](args, tol, fmt)
     except SystemExit as exc:
         # --help and --version exit through argparse with code 0.
         return EXIT_OK if exc.code == 0 else EXIT_ERROR

@@ -176,6 +176,10 @@ def second_differences(u: Sequence) -> Sequence:
         raise ValueError("sequence too short")
     v = u.values
     vals = tuple(v[k] - 2.0 * v[k + 1] + v[k + 2] for k in range(len(v) - 2))
+    for k, s in enumerate(vals):
+        if not math.isfinite(s):
+            n = u.start_index + k
+            raise ValueError(f"second difference of u[{n}..{n + 2}] overflows")
     return Sequence(vals, 1)
 
 

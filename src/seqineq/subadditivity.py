@@ -164,6 +164,13 @@ def subadditive_hull(u: Sequence) -> HullResult:
             last_part.append(part)
     v_vals = tuple(v[1:].tolist())
     w = tuple(a - b for a, b in zip(u.values, v_vals))
+    for n, (vn, wn) in enumerate(zip(v_vals, w), 1):
+        # v[n] is finite or -inf (a split sum overflowed); w = u - v is
+        # infinite in both cases.
+        if not math.isfinite(wn):
+            raise ValueError(
+                f"subadditive hull overflows at n={n}: v[{n}] = {vn!r}, w[{n}] = {wn!r}"
+            )
     return HullResult(Sequence(v_vals, 1), Sequence(w, 1), max(w), tuple(last_part))
 
 

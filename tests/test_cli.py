@@ -8,6 +8,14 @@ import random
 import jsonschema
 import pytest
 
+from corpus import (
+    concave_increasing_nonnegative_values,
+    convex_values,
+    decreasing_nonnegative_values,
+    nonincreasing_difference_values,
+    perturbed_convex_values,
+    random_values,
+)
 from seqineq import (
     Sequence,
     parse_sequence_csv,
@@ -235,6 +243,39 @@ def test_error_exits_with_one_line_diagnostic(tmp_path, capsys):
         assert len(captured.err.strip().splitlines()) == 1, argv
 
 
+HULL_OVERFLOW = "subadditive hull overflows at n=4: v[4] = -inf, w[4] = inf"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hull"], HULL_OVERFLOW),
+        (["epsilon"], HULL_OVERFLOW),
+        (["decompose"], HULL_OVERFLOW),
+        # check-subadd classifies the input first; its second differences
+        # overflow before the hull is built.
+        (["check-subadd", "--eps", "1"], "second difference of u[1..3] overflows"),
+    ],
+)
+def test_overflow_is_named_on_finite_input(tmp_path, capsys, argv, message):
+    path = _write(tmp_path, "mixed.csv", "1.7e308\n-1.7e308\n1.7e308\n-1.7e308\n")
+    assert run_cli([argv[0], path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_warning_is_one_line_on_stderr(tmp_path, capsys):
+    path = _write(tmp_path, "long.csv", "".join(f"{n * n}\n" for n in range(30)))
+    assert run_cli(["lagrange", path]) == 0
+    captured = capsys.readouterr()
+    VALIDATOR.validate(json.loads(captured.out))
+    assert captured.err == (
+        "warning: monomial coefficients of a degree-29 interpolant are "
+        "ill-conditioned; treat them as qualitative\n"
+    )
+
+
 def test_support_on_singleton_is_an_input_error(tmp_path, capsys):
     path = _write(tmp_path, "one.csv", "5\n")
     assert run_cli(["support", path]) == 2
@@ -299,3 +340,40 @@ def test_numbers_round_trip_through_report_json(tmp_path, capsys):
     doc = _report(capsys)
     # JSON serialization must not lose a single bit of the computed hull
     assert tuple(doc["hull"]["v"]) == subadditive_hull(u).v.values
+
+
+CORPUS_FAMILIES = (
+    convex_values,
+    perturbed_convex_values,
+    random_values,
+    decreasing_nonnegative_values,
+    concave_increasing_nonnegative_values,
+    nonincreasing_difference_values,
+)
+
+
+def test_reports_have_the_layout_of_json_dumps_indent_2(tmp_path, capsys):
+    rng = random.Random(4040)
+    for make in CORPUS_FAMILIES:
+        for length in (3, 4, 9, 17):
+            values = make(rng, length)
+            for base in (0, 1):
+                path = tmp_path / f"u{base}.json"
+                write_sequence(path, Sequence(values, base))
+                invocations = [
+                    ["check-convex", str(path)],
+                    ["support", str(path)],
+                    ["spline", str(path), "--samples", "3"],
+                    ["lagrange", str(path)],
+                ]
+                if base == 1:
+                    invocations += [
+                        ["hull", str(path)],
+                        ["decompose", str(path)],
+                        ["check-subadd", str(path)],
+                        ["check-subadd", str(path), "--eps", "1"],
+                    ]
+                for argv in invocations:
+                    assert run_cli(argv) in (0, 1), argv
+                    out = capsys.readouterr().out
+                    assert out == json.dumps(json.loads(out), indent=2) + "\n", argv

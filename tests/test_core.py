@@ -100,6 +100,8 @@ def test_second_differences_examples():
     assert second_differences(Sequence((0, 0, 1), 0)).values == (1.0,)
     with pytest.raises(ValueError, match="sequence too short"):
         second_differences(Sequence((1, 2), 1))
+    with pytest.raises(ValueError, match=r"second difference of u\[1\.\.3\] overflows"):
+        second_differences(Sequence((0.0, 0.0, 1.7e308, -1.7e308), 0))
 
 
 def test_second_differences_equal_iterated_forward():

@@ -89,7 +89,12 @@ def _reference_hull(u: Sequence):
         v.append(best if best < un else un)
         last_part.append(part)
     w = tuple(a - b for a, b in zip(vals, v[1:]))
-    return Sequence(tuple(v[1:]), 1).values, Sequence(w, 1).values, max(w), tuple(last_part)
+    for n, (vn, wn) in enumerate(zip(v[1:], w), 1):
+        if not math.isfinite(wn):
+            raise ValueError(
+                f"subadditive hull overflows at n={n}: v[{n}] = {vn!r}, w[{n}] = {wn!r}"
+            )
+    return tuple(v[1:]), w, max(w), tuple(last_part)
 
 
 def _reference_pairwise(u: Sequence, tol: ToleranceConfig):
