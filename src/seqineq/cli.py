@@ -17,12 +17,19 @@ Commands
 
 Exit code 2 means the input could not be used (unreadable file, malformed
 numbers, wrong index base, unknown flags); a one-line diagnostic goes to
-stderr.  Reports are JSON documents with a fixed key set (see
+stderr.  Exit code 141 (128 + SIGPIPE, what a shell reports for a process
+killed by SIGPIPE) means stdout was closed before the report was written,
+as in ``seqineq spline FILE | head``; stderr stays empty.
+
+Reports are JSON documents with a fixed key set (see
 ``schemas/report.schema.json``); ``--format csv`` flattens the same report
 into key,value rows, except for ``spline`` where CSV emits plot data.
 Numbers are serialized with shortest round-trip formatting.  The JSON layout
 is exactly that of ``json.dumps(report, indent=2)``; the tests pin it, both
 against ``json.dumps`` on random trees and on every command's report.
+
+Only the O(N^2) kernels import numpy, when they first run; ``--help``,
+``spline`` and input refusals never load it.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import argparse
 import csv
 import importlib.resources
 import json
+import os
 import sys
 import warnings
 from json.encoder import encode_basestring_ascii
@@ -38,7 +46,7 @@ from json.encoder import encode_basestring_ascii
 from . import __version__
 from .convexity import certify_convexity, support_sequence
 from .core import DEFAULT_TOLERANCE, Sequence, ToleranceConfig, classify
-from .interpolation import lagrange_polynomial, polynomial_convexity_on_interval, quadratic_piece, spline_eval
+from .interpolation import lagrange_polynomial, polynomial_convexity_on_interval, quadratic_piece, spline_center
 from .sequence_io import read_sequence, write_sequence
 from .subadditivity import (
     check_epsilon,
@@ -51,6 +59,7 @@ from .subadditivity import (
 EXIT_OK = 0
 EXIT_PROPERTY_FAILED = 1
 EXIT_ERROR = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 class _UsageError(Exception):
@@ -264,14 +273,16 @@ def _cmd_spline(args, tol: ToleranceConfig, fmt: str) -> int:
         raise ValueError("--samples must be at least 1")
     if len(u) < 3:
         raise ValueError("sequence too short")
-    pieces = [quadratic_piece(u, n) for n in range(u.start_index + 1, u.last_index)]
+    first = u.start_index + 1
+    pieces = [quadratic_piece(u, n) for n in range(first, u.last_index)]
     xs = [
         i + t / per_unit
         for i in range(u.start_index, u.last_index)
         for t in range(per_unit)
     ]
     xs.append(float(u.last_index))
-    samples = [(x, spline_eval(u, x)) for x in xs]
+    # Each sample is spline_eval(u, x), from the piece already built.
+    samples = [(x, pieces[spline_center(u, x) - first](x)) for x in xs]
     if fmt == "csv":
         for piece in pieces:
             print(
@@ -409,10 +420,18 @@ def run_cli(argv: list[str]) -> int:
         fmt = getattr(args, "format", "json")
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            return _COMMANDS[args.command](args, tol, fmt)
+            code = _COMMANDS[args.command](args, tol, fmt)
+        # A closed stdout must show here, not in the exit-time flush.
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:
         # --help and --version exit through argparse with code 0.
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
+    except BrokenPipeError:
+        # The reader has gone (``| head``).  As the ``signal`` docs advise,
+        # point stdout at devnull so that the exit-time flush prints nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (_UsageError, ValueError, IndexError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

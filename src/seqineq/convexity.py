@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import DEFAULT_TOLERANCE, Sequence, ToleranceConfig
 
 
@@ -159,6 +157,8 @@ def support_sequence(u: Sequence) -> SupportSequence:
     """
     if len(u) < 2:
         raise ValueError("sequence too short")
+    import numpy as np
+
     vals = np.array(u.values)
     base = u.start_index
     count = len(vals) - 1
@@ -202,6 +202,8 @@ def verify_support(
     """
     if not (u.start_index <= s.first_index and s.last_index <= u.last_index):
         raise ValueError("support window outside sequence range")
+    import numpy as np
+
     vals = np.array(u.values)
     v = np.array(s.values, dtype=float)
     ms = np.arange(float(u.start_index), u.last_index + 1)

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class ToleranceConfig:
@@ -47,12 +45,14 @@ class ToleranceConfig:
         """Whether ``x <= y`` holds within tolerance."""
         return x <= y + self.slack(x, y)
 
-    def leq_mask(self, x, y) -> np.ndarray:
+    def leq_mask(self, x, y):
         """:meth:`leq` elementwise over arrays, with the same verdicts.
 
         ``np.fmax`` keeps ``abs_tol`` where ``rel_tol * inf`` is nan, as
         Python's ``max`` does; a nan in ``x`` or ``y`` fails either way.
         """
+        import numpy as np
+
         with np.errstate(over="ignore", invalid="ignore"):
             scale = np.maximum(np.abs(x), np.abs(y))
             return x <= y + np.fmax(self.abs_tol, self.rel_tol * scale)

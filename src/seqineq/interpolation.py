@@ -15,8 +15,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import DEFAULT_TOLERANCE, Sequence, ToleranceConfig
 
 MAX_LAGRANGE_DEGREE = 64
@@ -103,6 +101,9 @@ def quadratic_piece(u: Sequence, n: int) -> QuadraticPiece:
         a = (u[n-1] + u[n+1]) / 2 - u[n]
         b = (u[n+1] - u[n-1]) / 2 - 2*a*n
         c = a*n**2 - ((u[n+1] - u[n-1]) / 2) * n + u[n]
+
+    Finite entries can still give an infinite coefficient; that is raised
+    as overflow at n.
     """
     if not (u.start_index + 1 <= n <= u.last_index - 1):
         raise ValueError(f"index {n} is not interior to the sequence")
@@ -111,16 +112,18 @@ def quadratic_piece(u: Sequence, n: int) -> QuadraticPiece:
     half_gap = (hi - lo) / 2.0
     b = half_gap - 2.0 * a * n
     c = a * n * n - half_gap * n + mid
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise ValueError(f"quadratic piece at n={n} overflows")
     return QuadraticPiece(n, a, b, c)
 
 
-def spline_eval(u: Sequence, x: float) -> float:
-    """Evaluate the piecewise-quadratic view of u at a real point x.
+def spline_center(u: Sequence, x: float) -> int:
+    """Center of the piece that :func:`spline_eval` uses at x.
 
-    The piece used is the one centered at the interior index nearest to x
-    (round half to even, then clamped to the interior range).  x must lie in
-    ``[start_index, last_index]`` and the sequence must have at least one
-    interior point; otherwise the point is outside the spline domain.
+    The interior index nearest to x (round half to even), clamped to the
+    interior range.  x must lie in ``[start_index, last_index]`` and the
+    sequence must have at least one interior point; otherwise the point is
+    outside the spline domain.
     """
     first_center = u.start_index + 1
     last_center = u.last_index - 1
@@ -129,8 +132,15 @@ def spline_eval(u: Sequence, x: float) -> float:
     x = float(x)
     if not (first_center - 1 <= x <= last_center + 1):
         raise ValueError("outside spline domain")
-    center = min(max(int(round(x)), first_center), last_center)
-    return quadratic_piece(u, center)(x)
+    return min(max(int(round(x)), first_center), last_center)
+
+
+def spline_eval(u: Sequence, x: float) -> float:
+    """Evaluate the piecewise-quadratic view of u at a real point x.
+
+    The piece used is the one centered at :func:`spline_center` of x.
+    """
+    return quadratic_piece(u, spline_center(u, x))(float(x))
 
 
 def lagrange_polynomial(u: Sequence) -> Polynomial:
@@ -197,6 +207,8 @@ def polynomial_convexity_on_interval(
     if p.degree <= 3:
         samples = (dd(lo), dd(hi))
     else:
+        import numpy as np
+
         xs = [float(x) for x in np.linspace(lo, hi, _SIGN_GRID_POINTS)]
         ddd = dd.derivative()
         if not ddd.is_zero() and ddd.degree >= 1:

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
 
-import numpy as np
-
 from .core import DEFAULT_TOLERANCE, Sequence, ToleranceConfig
 
 ORACLE_MAX_N = 30
@@ -146,6 +144,8 @@ def subadditive_hull(u: Sequence) -> HullResult:
     [(1,), (1, 1), (3,)]
     """
     _require_base1(u)
+    import numpy as np
+
     vals = np.array(u.values)
     v = np.zeros(len(vals) + 1)  # 1-based; v[0] unused
     last_part = []
@@ -179,6 +179,8 @@ def is_subadditive_pairwise(
 ) -> PairwiseCheck:
     """Check ``u[m+n] <= u[m] + u[n]`` for all m <= n with m+n in range."""
     _require_base1(u)
+    import numpy as np
+
     vals = np.array(u.values)
     last = u.last_index
     violations: list[tuple[int, int]] = []

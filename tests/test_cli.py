@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
 import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import (
     concave_increasing_nonnegative_values,
@@ -21,11 +30,13 @@ from seqineq import (
     parse_sequence_csv,
     parse_sequence_json,
     read_sequence,
+    spline_eval,
     write_sequence,
 )
 from seqineq.cli import run_cli, load_report_schema
 
 VALIDATOR = jsonschema.Draft202012Validator(load_report_schema())
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _write(tmp_path, name, text):
@@ -39,6 +50,12 @@ def _report(capsys):
     doc = json.loads(out)
     VALIDATOR.validate(doc)
     return doc
+
+
+def _python(*args, **kwargs):
+    """A fresh interpreter that imports the package from this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
 
 
 # ---------------------------------------------------------------- file formats
@@ -255,6 +272,8 @@ HULL_OVERFLOW = "subadditive hull overflows at n=4: v[4] = -inf, w[4] = inf"
         # check-subadd classifies the input first; its second differences
         # overflow before the hull is built.
         (["check-subadd", "--eps", "1"], "second difference of u[1..3] overflows"),
+        (["spline"], "quadratic piece at n=2 overflows"),
+        (["spline", "--format", "csv"], "quadratic piece at n=2 overflows"),
     ],
 )
 def test_overflow_is_named_on_finite_input(tmp_path, capsys, argv, message):
@@ -285,6 +304,55 @@ def test_support_on_singleton_is_an_input_error(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert run_cli(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_closed_stdout_exits_141_with_empty_stderr(tmp_path):
+    # The report (about 1.4 MB) is far larger than a pipe buffer, so the
+    # writer is still blocked on stdout when the reader goes away.
+    path = _write(tmp_path, "long.csv", "".join(f"{n * n}\n" for n in range(2000)))
+    proc = _python("-m", "seqineq.cli", "spline", path,
+                   stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+STARTUP_PROBE = """
+import io, json, sys
+from seqineq.cli import run_cli
+seq, base0, garbage, pair = sys.argv[1:]
+sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+codes = [
+    run_cli(["--help"]),
+    run_cli(["spline", seq]),
+    run_cli(["spline", seq, "--format", "csv"]),
+    run_cli(["hull", base0]),
+    run_cli(["check-subadd", base0]),
+    run_cli(["support", pair, "--bogus"]),
+    run_cli(["check-convex", garbage]),
+    run_cli(["spline", pair]),
+]
+before = "numpy" in sys.modules
+codes.append(run_cli(["hull", seq]))
+sys.__stdout__.write(json.dumps([codes, before, "numpy" in sys.modules]))
+"""
+
+
+def test_startup_help_spline_and_refusals_do_not_load_numpy(tmp_path):
+    files = [
+        _write(tmp_path, "seq.csv", "1\n3\n2\n5\n"),
+        _write(tmp_path, "zero.csv", "# start_index=0\n1\n2\n"),
+        _write(tmp_path, "bad.csv", "1\ntwo\n"),
+        _write(tmp_path, "pair.csv", "1\n2\n"),
+    ]
+    proc = _python("-c", STARTUP_PROBE, *files, stdout=subprocess.PIPE, text=True)
+    out, _ = proc.communicate(timeout=60)
+    codes, before, after = json.loads(out)
+    assert codes == [0, 0, 0, 2, 2, 2, 2, 2, 0]
+    assert not before  # --help, spline and every refusal ran without numpy
+    assert after  # the hull kernel loads it
 
 
 # ------------------------------------------------------------- global options
@@ -319,6 +387,39 @@ def test_csv_format_spline_emits_plot_data(tmp_path, capsys):
     header_at = lines.index("x,y")
     assert len(lines) - header_at - 1 == 4 * 3 + 1
     assert lines[header_at + 1] == "0.0,0.0"
+
+
+magnitudes = st.floats(1e-300, 1e300) | st.floats(-1e300, -1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(magnitudes, min_size=3, max_size=40),
+    base=st.sampled_from((0, 1)),
+    per_unit=st.integers(1, 5),
+)
+def test_spline_samples_are_spline_eval_bit_for_bit(values, base, per_unit):
+    # Even --samples put samples on the half-integer ties of the center rule.
+    u = Sequence(tuple(values), base)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "u.csv")
+        write_sequence(path, u)
+        outs = {}
+        for fmt in ("json", "csv"):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert run_cli(["spline", path, "--samples", str(per_unit), "--format", fmt]) == 0
+            outs[fmt] = buf.getvalue()
+    samples = json.loads(outs["json"])["spline"]["samples"]
+    assert len(samples) == per_unit * (len(u) - 1) + 1
+    for x, y in samples:
+        assert repr(y) == repr(spline_eval(u, x))
+    lines = outs["csv"].splitlines()
+    rows = lines[lines.index("x,y") + 1 :]
+    assert [row.split(",")[0] for row in rows] == [repr(x) for x, _ in samples]
+    for row in rows:
+        x, y = row.split(",")
+        assert y == repr(spline_eval(u, float(x)))
 
 
 def test_output_is_deterministic(tmp_path, capsys):

@@ -57,6 +57,15 @@ def test_quadratic_piece_examples():
         quadratic_piece(CONVEX_EXAMPLE, 3)
 
 
+def test_quadratic_piece_names_overflow_on_finite_input():
+    u = Sequence((1.7e308, -1.7e308, 1.7e308, -1.7e308), 0)
+    with pytest.raises(ValueError, match=r"^quadratic piece at n=1 overflows$"):
+        quadratic_piece(u, 1)
+    # a is finite here; b = half_gap - 2*a*n is not
+    with pytest.raises(ValueError, match=r"^quadratic piece at n=2 overflows$"):
+        quadratic_piece(Sequence((0.0, 0.0, -1e308, 0.0), 0), 2)
+
+
 def test_piece_curvature_equals_second_difference(integer_corpus):
     for values in integer_corpus[:200]:
         u = Sequence(values, 0)
