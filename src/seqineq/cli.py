@@ -28,8 +28,12 @@ Numbers are serialized with shortest round-trip formatting.  The JSON layout
 is exactly that of ``json.dumps(report, indent=2)``; the tests pin it, both
 against ``json.dumps`` on random trees and on every command's report.
 
-Only the O(N^2) kernels import numpy, when they first run; ``--help``,
-``spline`` and input refusals never load it.
+numpy is imported only by the O(N^2) kernels on inputs longer than
+``PURE_ROWS_MAX_N`` (256) entries, and by ``lagrange`` above degree 3.
+Shorter inputs run the kernels as pure-Python rows, which at N = 256 cost
+less than the roughly 100 ms that importing numpy takes (the fresh-process
+crossover lies between N = 384 and 512); ``--help``, ``spline`` and input
+refusals never load it.
 """
 
 from __future__ import annotations

@@ -15,10 +15,11 @@ disagreement beyond tolerance is a bug, not a property of the input.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
-from .core import DEFAULT_TOLERANCE, Sequence, ToleranceConfig
+from .core import DEFAULT_TOLERANCE, PURE_ROWS_MAX_N, Sequence, ToleranceConfig
 
 
 @dataclass(frozen=True)
@@ -153,28 +154,45 @@ def support_sequence(u: Sequence) -> SupportSequence:
     with the lexicographically smallest minimizing pair.  For a convex u
     this minimum is the adjacent slope ``u[n+1] - u[n]`` and v is monotone;
     for a non-convex u the candidate always fails :func:`verify_support`.
-    The work is O(N^2), done as N numpy rows, one per n1.
+    The work is O(N^2), one row per n1: pure-Python rows when
+    ``len(u) <= PURE_ROWS_MAX_N``, numpy rows above it, with equal bits.
     """
     if len(u) < 2:
         raise ValueError("sequence too short")
-    import numpy as np
-
-    vals = np.array(u.values)
+    vals = u.values
     base = u.start_index
     count = len(vals) - 1
-    steps = np.arange(1.0, count + 1)
+    if len(vals) > PURE_ROWS_MAX_N:
+        import numpy as np
+
+        arr = np.array(vals)
+        steps = np.arange(1.0, count + 1)
+        quiet = np.errstate(over="ignore")
+
+        def row_min(i: int) -> tuple[int, float]:
+            row = (arr[i + 1 :] - arr[i]) / steps[: count - i]
+            k = int(row.argmin())
+            return k, row.item(k)
+    else:
+        quiet = contextlib.nullcontext()
+
+        def row_min(i: int) -> tuple[int, float]:
+            a = vals[i]
+            row = [(b - a) / d for d, b in enumerate(vals[i + 1 :], 1)]
+            best = min(row)
+            return row.index(best), best
+
     v = [0.0] * count
     witnesses: list[tuple[int, int]] = [(0, 0)] * count
     best = math.inf
     best_pair = (0, 0)
     # Suffix scan: row i holds the slopes of the pairs starting at n1 = i,
     # folded into the running minimum for every n <= n1.  Ties prefer
-    # smaller n1 (``<=``), then smaller n2 (argmin takes the first minimum).
-    with np.errstate(over="ignore"):
+    # smaller n1 (``<=``), then smaller n2 (``row_min`` returns the first
+    # minimum, with its own bits).
+    with quiet:
         for i in range(count - 1, -1, -1):
-            row = (vals[i + 1 :] - vals[i]) / steps[: count - i]
-            k = int(row.argmin())
-            row_best = row.item(k)
+            k, row_best = row_min(i)
             if row_best <= best:
                 best = row_best
                 best_pair = (base + i, base + i + 1 + k)
@@ -202,19 +220,33 @@ def verify_support(
     """
     if not (u.start_index <= s.first_index and s.last_index <= u.last_index):
         raise ValueError("support window outside sequence range")
-    import numpy as np
+    vals = u.values
+    base = u.start_index
+    v = [float(x) for x in s.values]
+    if len(vals) > PURE_ROWS_MAX_N:
+        import numpy as np
 
-    vals = np.array(u.values)
-    v = np.array(s.values, dtype=float)
-    ms = np.arange(float(u.start_index), u.last_index + 1)
-    sub: list[tuple[int, int]] = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n, vn in enumerate(v.tolist(), s.first_index):
-            ok = tol.leq_mask(u[n] - vals, vn * (n - ms))
-            for m in (np.flatnonzero(~ok) + u.start_index).tolist():
-                sub.append((m, n))
-    bad = np.flatnonzero(~tol.leq_mask(v[:-1], v[1:])) + s.first_index
-    mono = [(n, n + 1) for n in bad.tolist()]
+        arr = np.array(vals)
+        ms = np.arange(float(base), u.last_index + 1)
+        quiet = np.errstate(over="ignore", invalid="ignore")
+
+        def failing(n: int, vn: float) -> list[int]:
+            ok = tol.leq_mask(u[n] - arr, vn * (n - ms))
+            return (np.flatnonzero(~ok) + base).tolist()
+    else:
+        quiet = contextlib.nullcontext()
+
+        def failing(n: int, vn: float) -> list[int]:
+            un = u[n]
+            return [m for m, x in enumerate(vals, base) if not tol.leq(un - x, vn * (n - m))]
+
+    with quiet:
+        sub = [(m, n) for n, vn in enumerate(v, s.first_index) for m in failing(n, vn)]
+    mono = [
+        (n, n + 1)
+        for n, (a, b) in enumerate(zip(v, v[1:]), s.first_index)
+        if not tol.leq(a, b)
+    ]
     return SupportCheck(not sub and not mono, tuple(sub), tuple(mono))
 
 

@@ -16,6 +16,15 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+# The O(N^2) kernels (support_sequence, verify_support, subadditive_hull,
+# is_subadditive_pairwise) run pure-Python rows on inputs of at most this
+# many entries and numpy rows on longer ones, with bit-identical results.
+# Importing numpy takes about 100 ms on a 2-vCPU VM.  verify_support, the
+# slowest kernel per cell, takes about 60 ms of pure rows at N = 256 and
+# reaches the import's cost between N = 384 and 512 in a fresh process, so
+# up to this length every kernel is cheaper without numpy.
+PURE_ROWS_MAX_N = 256
+
 
 @dataclass(frozen=True)
 class ToleranceConfig:

@@ -7,9 +7,11 @@ The subadditive hull v of u is the largest subadditive sequence below u,
 
     v[n] = min over integer partitions n = j1 + ... + jk of u[j1] + ... + u[jk],
 
-computed by one O(N^2) dynamic-programming pass, one numpy row per index,
-that keeps a parent pointer per index; witness partitions are expanded from
-the pointers when read.
+computed by one O(N^2) dynamic-programming pass, one row per index, that
+keeps a parent pointer per index; witness partitions are expanded from the
+pointers when read.  The rows, here and in the pairwise check, are
+pure-Python lists up to ``PURE_ROWS_MAX_N`` entries (so short inputs never
+import numpy) and numpy arrays above it, with bit-identical results.
 The gap ``epsilon_star = max(u[n] - v[n])`` is the smallest eps for which u
 is eps-approximately subadditive, and ``u = v + w`` with ``0 <= w <= eps``
 splits any approximately subadditive sequence into an exactly subadditive
@@ -20,12 +22,14 @@ can be compared exactly on integer inputs.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import add
 from typing import Iterator
 
-from .core import DEFAULT_TOLERANCE, Sequence, ToleranceConfig
+from .core import DEFAULT_TOLERANCE, PURE_ROWS_MAX_N, Sequence, ToleranceConfig
 
 ORACLE_MAX_N = 30
 
@@ -144,25 +148,41 @@ def subadditive_hull(u: Sequence) -> HullResult:
     [(1,), (1, 1), (3,)]
     """
     _require_base1(u)
-    import numpy as np
+    vals = u.values
+    if len(vals) > PURE_ROWS_MAX_N:
+        import numpy as np
 
-    vals = np.array(u.values)
-    v = np.zeros(len(vals) + 1)  # 1-based; v[0] unused
+        arr = np.array(vals)
+        v = np.zeros(len(vals) + 1)  # 1-based; v[0] unused
+        quiet = np.errstate(over="ignore")
+
+        def row_min(n: int) -> tuple[int, float]:
+            row = arr[: n - 1] + v[n - 1 : 0 : -1]
+            j = int(row.argmin())
+            return j, row.item(j)
+    else:
+        v = [0.0] * (len(vals) + 1)
+        quiet = contextlib.nullcontext()
+
+        def row_min(n: int) -> tuple[int, float]:
+            row = list(map(add, vals[: n - 1], v[n - 1 : 0 : -1]))
+            best = min(row)
+            return row.index(best), best
+
     last_part = []
-    # Row n holds every split sum u[j] + v[n - j]; argmin takes the first
-    # minimizer, as a strict ``<`` scan would.
-    with np.errstate(over="ignore"):
-        for n, un in enumerate(u.values, 1):
+    # Row n holds every split sum u[j] + v[n - j]; ``row_min`` returns the
+    # first minimizer with its own bits, as a strict ``<`` scan would.
+    with quiet:
+        for n, un in enumerate(vals, 1):
             best, part = math.inf, n
             if n > 1:
-                row = vals[: n - 1] + v[n - 1 : 0 : -1]
-                j = int(row.argmin())
-                best, part = row.item(j), j + 1
+                j, best = row_min(n)
+                part = j + 1
             if best > un:
                 part = n
             v[n] = best if best < un else un
             last_part.append(part)
-    v_vals = tuple(v[1:].tolist())
+    v_vals = tuple(map(float, v[1:]))
     w = tuple(a - b for a, b in zip(u.values, v_vals))
     for n, (vn, wn) in enumerate(zip(v_vals, w), 1):
         # v[n] is finite or -inf (a split sum overflowed); w = u - v is
@@ -179,17 +199,29 @@ def is_subadditive_pairwise(
 ) -> PairwiseCheck:
     """Check ``u[m+n] <= u[m] + u[n]`` for all m <= n with m+n in range."""
     _require_base1(u)
-    import numpy as np
-
-    vals = np.array(u.values)
+    vals = u.values
     last = u.last_index
-    violations: list[tuple[int, int]] = []
-    # Row m compares u[2m:] with u[m] + u[m:last-m+1], over n = m..last-m.
-    with np.errstate(over="ignore"):
-        for m in range(1, last // 2 + 1):
-            ok = tol.leq_mask(vals[2 * m - 1 :], vals[m - 1] + vals[m - 1 : last - m])
-            for n in (np.flatnonzero(~ok) + m).tolist():
-                violations.append((m, n))
+    # Row m compares u[2m:] with u[m] + u[m:last-m+1], over n = m..last-m,
+    # and lists the failing n.
+    if len(vals) > PURE_ROWS_MAX_N:
+        import numpy as np
+
+        arr = np.array(vals)
+        quiet = np.errstate(over="ignore")
+
+        def failing(m: int) -> list[int]:
+            ok = tol.leq_mask(arr[2 * m - 1 :], arr[m - 1] + arr[m - 1 : last - m])
+            return (np.flatnonzero(~ok) + m).tolist()
+    else:
+        quiet = contextlib.nullcontext()
+
+        def failing(m: int) -> list[int]:
+            um = vals[m - 1]
+            pairs = zip(vals[2 * m - 1 :], vals[m - 1 : last - m])
+            return [n for n, (x, y) in enumerate(pairs, m) if not tol.leq(x, um + y)]
+
+    with quiet:
+        violations = [(m, n) for m in range(1, last // 2 + 1) for n in failing(m)]
     return PairwiseCheck(not violations, tuple(violations))
 
 

@@ -34,6 +34,7 @@ from seqineq import (
     write_sequence,
 )
 from seqineq.cli import run_cli, load_report_schema
+from seqineq.core import PURE_ROWS_MAX_N
 
 VALIDATOR = jsonschema.Draft202012Validator(load_report_schema())
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -322,7 +323,7 @@ def test_closed_stdout_exits_141_with_empty_stderr(tmp_path):
 STARTUP_PROBE = """
 import io, json, sys
 from seqineq.cli import run_cli
-seq, base0, garbage, pair = sys.argv[1:]
+seq, base0, garbage, pair, at_cutoff, above_cutoff = sys.argv[1:]
 sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
 codes = [
     run_cli(["--help"]),
@@ -334,25 +335,37 @@ codes = [
     run_cli(["check-convex", garbage]),
     run_cli(["spline", pair]),
 ]
+for path in (seq, at_cutoff):
+    for command in ("check-convex", "support", "hull", "epsilon", "decompose", "check-subadd"):
+        codes.append(run_cli([command, path]))
+    codes.append(run_cli(["check-subadd", path, "--eps", "1"]))
 before = "numpy" in sys.modules
-codes.append(run_cli(["hull", seq]))
+codes.append(run_cli(["hull", above_cutoff]))
 sys.__stdout__.write(json.dumps([codes, before, "numpy" in sys.modules]))
 """
 
 
 def test_startup_help_spline_and_refusals_do_not_load_numpy(tmp_path):
+    squares = [f"{n * n}\n" for n in range(1, PURE_ROWS_MAX_N + 2)]
     files = [
         _write(tmp_path, "seq.csv", "1\n3\n2\n5\n"),
         _write(tmp_path, "zero.csv", "# start_index=0\n1\n2\n"),
         _write(tmp_path, "bad.csv", "1\ntwo\n"),
         _write(tmp_path, "pair.csv", "1\n2\n"),
+        _write(tmp_path, "at_cutoff.csv", "".join(squares[:-1])),
+        _write(tmp_path, "above_cutoff.csv", "".join(squares)),
     ]
     proc = _python("-c", STARTUP_PROBE, *files, stdout=subprocess.PIPE, text=True)
     out, _ = proc.communicate(timeout=60)
     codes, before, after = json.loads(out)
-    assert codes == [0, 0, 0, 2, 2, 2, 2, 2, 0]
-    assert not before  # --help, spline and every refusal ran without numpy
-    assert after  # the hull kernel loads it
+    # check-convex, support, hull, epsilon, decompose, check-subadd, --eps 1
+    kernels_on_seq = [1, 0, 0, 0, 0, 1, 1]
+    kernels_on_squares = [0, 0, 0, 0, 0, 1, 1]
+    assert codes == [0, 0, 0, 2, 2, 2, 2, 2] + kernels_on_seq + kernels_on_squares + [0]
+    # --help, spline, every refusal and every kernel on up to
+    # PURE_ROWS_MAX_N entries ran without numpy
+    assert not before
+    assert after  # the hull kernel loads it one entry above the cutoff
 
 
 # ------------------------------------------------------------- global options

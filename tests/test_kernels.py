@@ -1,10 +1,14 @@
-"""Vectorized O(N^2) kernels against the pure-Python loops they replaced.
+"""The O(N^2) kernels, on both row paths, against the scalar loops they replaced.
 
-The four ``_reference_*`` functions below are the scalar double loops the
-package used before its kernels were written as numpy rows.  They are kept
-here, and only here, as oracles: values, witnesses and violation lists must
-match them bit for bit (compared through ``repr``), including signed zeros,
-floats across many magnitudes and sums that overflow to infinity.
+Each kernel computes one row at a time: pure-Python rows for inputs of at
+most ``PURE_ROWS_MAX_N`` entries, numpy rows above it.  The four
+``_reference_*`` functions below are the scalar double loops the package
+used before its kernels were written as rows.  They are kept here, and only
+here, as oracles: values, witnesses and violation lists must match them bit
+for bit (compared through ``repr``), including signed zeros, floats across
+many magnitudes and sums that overflow to infinity.  Every comparison runs
+on both paths, by moving the cutoff below or above the input length, and
+the two paths must agree at the real cutoff and one entry above it.
 """
 
 from __future__ import annotations
@@ -28,9 +32,18 @@ from seqineq import (
     support_sequence,
     verify_support,
 )
+from seqineq import convexity, subadditivity
 from seqineq.convexity import SupportSequence
+from seqineq.core import PURE_ROWS_MAX_N
 
 TOLERANCES = (ToleranceConfig(), ToleranceConfig(abs_tol=0.0, rel_tol=0.0))
+NUMPY_ROWS = 0  # cutoff below every length: every kernel runs numpy rows
+PURE_ROWS = 10**9  # cutoff above every length: every kernel runs pure rows
+
+
+def _set_cutoff(monkeypatch, cutoff: int) -> None:
+    for module in (convexity, subadditivity):
+        monkeypatch.setattr(module, "PURE_ROWS_MAX_N", cutoff)
 
 
 # ------------------------------------------------------------------ oracles
@@ -162,7 +175,13 @@ def _verify_fields(u: Sequence, s: SupportSequence, tol: ToleranceConfig):
 # -------------------------------------------------------------------- tests
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_support_kernels_match_reference(family):
+def test_support_kernels_match_reference(family, monkeypatch):
+    for cutoff in (NUMPY_ROWS, PURE_ROWS):
+        _set_cutoff(monkeypatch, cutoff)
+        _check_support_kernels(family)
+
+
+def _check_support_kernels(family):
     for length, values, rng in _cases(family):
         for base in (0, 1):
             u = Sequence(values, base)
@@ -187,14 +206,50 @@ def test_support_kernels_match_reference(family):
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_subadditivity_kernels_match_reference(family):
-    for _, values, _ in _cases(family):
-        u = Sequence(values, 1)
-        assert _outcome(_hull_fields, u) == _outcome(_reference_hull, u)
-        for tol in TOLERANCES:
-            assert repr(is_subadditive_pairwise(u, tol).violations) == repr(
-                _reference_pairwise(u, tol)
-            )
+def test_subadditivity_kernels_match_reference(family, monkeypatch):
+    for cutoff in (NUMPY_ROWS, PURE_ROWS):
+        _set_cutoff(monkeypatch, cutoff)
+        for _, values, _ in _cases(family):
+            u = Sequence(values, 1)
+            assert _outcome(_hull_fields, u) == _outcome(_reference_hull, u)
+            for tol in TOLERANCES:
+                assert repr(is_subadditive_pairwise(u, tol).violations) == repr(
+                    _reference_pairwise(u, tol)
+                )
+
+
+def _all_kernels(values, rng, family):
+    """Every kernel's output on one input, as a ``repr`` per call."""
+    out = []
+    for base in (0, 1):
+        u = Sequence(values, base)
+        s = support_sequence(u)
+        foreign = SupportSequence(
+            u, tuple(FAMILIES[family](rng) for _ in range(len(u) - 1)), base, u.last_index - 1
+        )
+        out.append(repr((s.values, s.witness_pairs)))
+        out.append(_outcome(_verify_fields, u, s, TOLERANCES[base]))
+        out.append(_outcome(_verify_fields, u, foreign, TOLERANCES[1 - base]))
+    u = Sequence(values, 1)
+    out.append(_outcome(_hull_fields, u))
+    for tol in TOLERANCES:
+        out.append(repr(is_subadditive_pairwise(u, tol).violations))
+    return out
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("length", [PURE_ROWS_MAX_N, PURE_ROWS_MAX_N + 1])
+def test_both_row_paths_agree_at_the_cutoff(family, length, monkeypatch):
+    draw = FAMILIES[family]
+    values = tuple(draw(random.Random(f"cutoff-{family}-{length}")) for _ in range(length))
+    seed = f"foreign-{family}-{length}"
+    default = _all_kernels(values, random.Random(seed), family)
+    _set_cutoff(monkeypatch, NUMPY_ROWS)
+    numpy_rows = _all_kernels(values, random.Random(seed), family)
+    _set_cutoff(monkeypatch, PURE_ROWS)
+    pure_rows = _all_kernels(values, random.Random(seed), family)
+    assert numpy_rows == pure_rows
+    assert default == pure_rows
 
 
 SPECIALS = (0.0, -0.0, 1e-9, -1e-9, 1e-300, 5e-324, 1.0, -1.0, 1e300, -1e300,
@@ -225,7 +280,8 @@ MIXED = (1.7e308, -1.7e308, 1.7e308, -1.7e308)
 
 
 @pytest.mark.parametrize("values", [BIG, MIXED])
-def test_kernels_raise_no_numpy_warnings(values):
+def test_kernels_raise_no_numpy_warnings(values, monkeypatch):
+    _set_cutoff(monkeypatch, NUMPY_ROWS)
     u = Sequence(values, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
