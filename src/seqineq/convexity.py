@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import DEFAULT_TOLERANCE, PURE_ROWS_MAX_N, Sequence, ToleranceConfig
 
@@ -207,6 +208,123 @@ def support_sequence(u: Sequence) -> SupportSequence:
     )
 
 
+# Smallest rel_tol at which _row_certifier certifies rows: 8 units of
+# roundoff, twice what its rounding bound needs.
+_MIN_CERTIFIED_REL_TOL = 2.0**-50
+
+
+def _row_certifier(u: Sequence, tol: ToleranceConfig):
+    """Return a test ``certified(n, vn)`` that proves a support row passes.
+
+    Row n of :func:`verify_support` checks ``tol.leq(u[n] - u[m], vn * (n -
+    m))`` for every m.  In exact arithmetic the pair m holds by the margin
+    ``(u[m] - vn*m) - (u[n] - vn*n)``, and the row's smallest margin is
+    ``G = min_m (u[m] - vn*m) - (u[n] - vn*n) <= 0``, the gap between the
+    line through ``(n, u[n])`` with slope vn and the lower convex hull of
+    the points ``(m, u[m])``.  Every float is a dyadic rational, so the
+    points are scaled to integers by one power of two, the hull is built
+    once with Andrew's monotone chain, and one pointer walks along it to the
+    vertex that attains the minimum as vn moves (both ways, so a
+    non-monotone candidate only costs more steps).
+
+    The test is true only when ``-G <= |vn| * rel_tol / 2`` exactly and the
+    row's floats cannot overflow or underflow.  Then every pair passes: for
+    m != n, with ``x = fl(u[n] - u[m])``, ``y = fl(vn * (n - m))``, ``M =
+    max(|x|, |y|) >= |vn|`` and unit roundoff ``e = 2**-53``, ``x - y <= -G
+    + 2e/(1-e) * M <= (rel_tol/2 + 2e/(1-e)) * M``, which for ``rel_tol >=
+    8e`` is below ``rel_tol * M * (1-e)``, a lower bound on the slack.  So
+    ``x <= y + slack`` holds exactly, and rounding the sum cannot take it
+    below the float x.  At m = n both sides are zero, and for vn = 0 the
+    test demands G = 0, which makes every x <= 0.  Smaller or absolute-only
+    tolerances, non-finite slopes and near-overflow or near-underflow
+    magnitudes certify nothing, and such rows run in full.
+    """
+    vals = u.values
+    # Entries up to 2**1022 keep every u[n] - u[m] finite.
+    if tol.rel_tol < _MIN_CERTIFIED_REL_TOL or max(map(abs, vals)) > 2.0**1022:
+        return lambda n, vn: False
+    ratios = [x.as_integer_ratio() for x in vals]
+    den = max(d for _, d in ratios)  # powers of two: the largest is a common multiple
+    ys = [a * (den // d) for a, d in ratios]
+    hull: list[int] = []
+    for i, y in enumerate(ys):
+        while len(hull) >= 2:
+            i1, i2 = hull[-2], hull[-1]
+            if (ys[i2] - ys[i1]) * (i - i1) < (y - ys[i1]) * (i2 - i1):
+                break
+            hull.pop()  # i2 lies on or above the chord from i1 to i
+        hull.append(i)
+    hy = [ys[i] for i in hull]
+    top = len(hull) - 1
+    a, b = (tol.rel_tol / 2).as_integer_ratio()
+    tol_num = den * a
+    max_slope = 2.0**1021 / len(vals)  # keeps |vn * (n - m)| finite
+    min_slope = 2.0**-1020 / min(tol.rel_tol, 1.0)  # keeps vn * (n - m) and the slack normal
+    base = u.start_index
+    h = 0
+
+    def certified(n: int, vn: float) -> bool:
+        nonlocal h
+        if vn != 0.0 and not min_slope <= abs(vn) <= max_slope:
+            return False  # also false for inf and nan
+        p, q = vn.as_integer_ratio()
+        pd = p * den
+        # f(i) = q * ys[i] - pd * i is q * den * (u[i] - vn * i); step to
+        # the hull vertex that minimises it.
+        while h < top and q * (hy[h + 1] - hy[h]) < pd * (hull[h + 1] - hull[h]):
+            h += 1
+        while h > 0 and q * (hy[h - 1] - hy[h]) < pd * (hull[h - 1] - hull[h]):
+            h -= 1
+        i = n - base
+        return (q * (ys[i] - hy[h]) - pd * (i - hull[h])) * b <= abs(p) * tol_num
+
+    return certified
+
+
+def _failing_support_pairs(
+    u: Sequence, s: SupportSequence, tol: ToleranceConfig
+) -> Iterator[tuple[int, int]]:
+    """Yield the ``(m, n)`` pairs that fail :func:`verify_support`'s subgradient test.
+
+    Pairs come row by row in window order, m increasing within a row.  A row
+    that ``_row_certifier`` proves to pass is skipped; every other row runs
+    in full, as pure-Python rows when ``len(u) <= PURE_ROWS_MAX_N`` and as
+    numpy rows above it, with equal verdicts.
+    """
+    vals = u.values
+    base = u.start_index
+    if len(vals) > PURE_ROWS_MAX_N:
+        import numpy as np
+
+        arr = np.array(vals)
+        ms = np.arange(float(base), u.last_index + 1)
+
+        def failing(n: int, vn: float) -> list[int]:
+            with np.errstate(over="ignore", invalid="ignore"):
+                ok = tol.leq_mask(u[n] - arr, vn * (n - ms))
+            return (np.flatnonzero(~ok) + base).tolist()
+    else:
+
+        def failing(n: int, vn: float) -> list[int]:
+            un = u[n]
+            return [m for m, x in enumerate(vals, base) if not tol.leq(un - x, vn * (n - m))]
+
+    certified = _row_certifier(u, tol)
+    for n, vn in enumerate(map(float, s.values), s.first_index):
+        if not certified(n, vn):
+            for m in failing(n, vn):
+                yield m, n
+
+
+def _monotonicity_violations(s: SupportSequence, tol: ToleranceConfig) -> list[tuple[int, int]]:
+    v = [float(x) for x in s.values]
+    return [
+        (n, n + 1)
+        for n, (a, b) in enumerate(zip(v, v[1:]), s.first_index)
+        if not tol.leq(a, b)
+    ]
+
+
 def verify_support(
     u: Sequence, s: SupportSequence, tol: ToleranceConfig = DEFAULT_TOLERANCE
 ) -> SupportCheck:
@@ -217,36 +335,19 @@ def verify_support(
     tolerance for every m in u's range and n in the support window, and v is
     monotone increasing.  Violating ``(m, n)`` pairs are listed either way;
     monotonicity violations are listed as adjacent window index pairs.
+
+    Each window index n is one row of comparisons over m.  A row that the
+    lower convex hull of u proves to pass is skipped (see
+    ``_row_certifier``; it needs ``rel_tol >= 2**-50``).  Every other row
+    runs in full: pure-Python rows when ``len(u) <= PURE_ROWS_MAX_N``, numpy
+    rows above it, with equal verdicts.  So the lists are those of the full
+    O(N^2) scan, and only the rows that are not certified, such as failing
+    ones, cost O(N) each.
     """
     if not (u.start_index <= s.first_index and s.last_index <= u.last_index):
         raise ValueError("support window outside sequence range")
-    vals = u.values
-    base = u.start_index
-    v = [float(x) for x in s.values]
-    if len(vals) > PURE_ROWS_MAX_N:
-        import numpy as np
-
-        arr = np.array(vals)
-        ms = np.arange(float(base), u.last_index + 1)
-        quiet = np.errstate(over="ignore", invalid="ignore")
-
-        def failing(n: int, vn: float) -> list[int]:
-            ok = tol.leq_mask(u[n] - arr, vn * (n - ms))
-            return (np.flatnonzero(~ok) + base).tolist()
-    else:
-        quiet = contextlib.nullcontext()
-
-        def failing(n: int, vn: float) -> list[int]:
-            un = u[n]
-            return [m for m, x in enumerate(vals, base) if not tol.leq(un - x, vn * (n - m))]
-
-    with quiet:
-        sub = [(m, n) for n, vn in enumerate(v, s.first_index) for m in failing(n, vn)]
-    mono = [
-        (n, n + 1)
-        for n, (a, b) in enumerate(zip(v, v[1:]), s.first_index)
-        if not tol.leq(a, b)
-    ]
+    sub = list(_failing_support_pairs(u, s, tol))
+    mono = _monotonicity_violations(s, tol)
     return SupportCheck(not sub and not mono, tuple(sub), tuple(mono))
 
 
@@ -256,15 +357,31 @@ def certify_convexity(
     """Run all three convexity criteria and assert that they agree.
 
     Sequences shorter than 2 carry no support sequence; the support leg is
-    then vacuously true.  The three verdicts agree on any input whose
-    margins are not at the tolerance boundary; a disagreement is raised as
-    an internal error rather than folded into the certificate.
+    then vacuously true.  The support leg gives the verdict of
+    :func:`verify_support` without building its lists: it skips the rows
+    that the lower convex hull certifies and stops at the first failing
+    pair.  If that pair's terms ``u[n] - u[m]`` or ``v[n] * (n - m)``
+    overflow, a ``ValueError`` names the pair: an infinite term makes the
+    slack infinite or the comparison nan, so the float verdict says
+    nothing.  The three verdicts agree on any input whose margins are not at
+    the tolerance boundary; a disagreement is raised as an internal error
+    rather than folded into the certificate.
     """
     defining = check_defining_inequality(u, tol)
     slopes = check_three_point_slopes(u, tol)
     if len(u) >= 2:
         support = support_sequence(u)
-        support_ok = verify_support(u, support, tol).ok
+        pair = next(_failing_support_pairs(u, support, tol), None)
+        if pair is not None:
+            m, n = pair
+            vn = support.value_at(n)
+            x, y = u[n] - u[m], vn * (n - m)
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(
+                    f"support check overflows at (m, n) = ({m}, {n}): u[{n}] - u[{m}] = {x!r}, "
+                    f"v[{n}] = {vn!r}, v[{n}] * ({n} - {m}) = {y!r}"
+                )
+        support_ok = pair is None and not _monotonicity_violations(support, tol)
     else:
         support = None
         support_ok = True

@@ -42,11 +42,12 @@ class PartitionWitness:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.parts or any(p < 1 for p in self.parts):
+        parts = self.parts
+        if not parts or min(parts) < 1:
             raise ValueError("parts must be positive integers")
-        if sum(self.parts) != self.n:
+        if sum(parts) != self.n:
             raise ValueError("parts must sum to n")
-        if any(a > b for a, b in zip(self.parts, self.parts[1:])):
+        if list(parts) != sorted(parts):
             raise ValueError("parts must be nondecreasing")
 
 

@@ -275,10 +275,21 @@ HULL_OVERFLOW = "subadditive hull overflows at n=4: v[4] = -inf, w[4] = inf"
         (["check-subadd", "--eps", "1"], "second difference of u[1..3] overflows"),
         (["spline"], "quadratic piece at n=2 overflows"),
         (["spline", "--format", "csv"], "quadratic piece at n=2 overflows"),
+        (
+            ["check-convex"],
+            "support check overflows at (m, n) = (2, 0): u[0] - u[2] = -inf, "
+            "v[0] = 1.7e+308, v[0] * (0 - 2) = -inf",
+        ),
     ],
 )
 def test_overflow_is_named_on_finite_input(tmp_path, capsys, argv, message):
-    path = _write(tmp_path, "mixed.csv", "1.7e308\n-1.7e308\n1.7e308\n-1.7e308\n")
+    if argv[0] == "check-convex":
+        # Linear, so the defining and slope legs pass; the support pair
+        # (2, 0) compares -inf with -inf plus an infinite slack.
+        text = "# start_index=0\n-1.7e308\n0\n1.7e308\n"
+    else:
+        text = "1.7e308\n-1.7e308\n1.7e308\n-1.7e308\n"
+    path = _write(tmp_path, "big.csv", text)
     assert run_cli([argv[0], path, *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

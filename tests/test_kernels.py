@@ -9,6 +9,12 @@ for bit (compared through ``repr``), including signed zeros, floats across
 many magnitudes and sums that overflow to infinity.  Every comparison runs
 on both paths, by moving the cutoff below or above the input length, and
 the two paths must agree at the real cutoff and one entry above it.
+
+``verify_support`` skips the rows that the lower convex hull proves to pass.
+The properties at the end aim at that proof: convex sequences with entries
+moved by one ulp, candidates moved by one ulp or shuffled, floats from
+1e-300 to 1e300, and tolerances from zero to the smallest one at which rows
+are certified.
 """
 
 from __future__ import annotations
@@ -16,17 +22,22 @@ from __future__ import annotations
 import math
 import os
 import random
+import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqineq import (
     Sequence,
     ToleranceConfig,
+    certify_convexity,
     is_subadditive_pairwise,
     subadditive_hull,
     support_sequence,
@@ -312,3 +323,107 @@ def test_cli_on_overflowing_input_writes_nothing_to_stderr(tmp_path, command):
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+
+
+# ------------------------------------------- rows certified by the convex hull
+
+# verify_support skips a row only when the lower convex hull proves that all
+# of its comparisons pass; that needs rel_tol >= 2**-50, so the zero and the
+# absolute-only tolerances run every row, and 2**-50 itself is the tightest
+# tolerance the certificate is used at.
+HULL_TOLERANCES = (
+    ToleranceConfig(),
+    ToleranceConfig(0.0, 0.0),
+    ToleranceConfig(abs_tol=1e-9, rel_tol=0.0),
+    ToleranceConfig(abs_tol=0.0, rel_tol=2.0**-50),
+)
+
+wide_floats = st.builds(
+    lambda sign, x: sign * x,
+    st.sampled_from((-1.0, 1.0)),
+    st.floats(min_value=1e-300, max_value=1e300),
+)
+
+
+@st.composite
+def near_tangent_inputs(draw):
+    """A sequence of 2..24 entries, often convex with entries 1 ulp off."""
+    n = draw(st.integers(2, 24))
+    family = draw(st.sampled_from(("int", "wide", "convex-int", "convex-float")))
+    if family == "int":
+        values = [float(x) for x in draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n))]
+    elif family == "wide":
+        values = draw(st.lists(wide_floats, min_size=n, max_size=n))
+    else:
+        if family == "convex-int":
+            steps = draw(st.lists(st.integers(-1000, 1000), min_size=n - 1, max_size=n - 1))
+        else:
+            steps = draw(st.lists(st.floats(-1000.0, 1000.0), min_size=n - 1, max_size=n - 1))
+        scale = 10.0 ** draw(st.integers(-300, 290))
+        values = [draw(st.floats(-1000.0, 1000.0)) * scale]
+        for step in sorted(steps):
+            values.append(values[-1] + step * scale)
+    # Shift some entries by one ulp, either way: a convex sequence then has
+    # supporting lines that miss the hull by about one ulp.
+    shifts = draw(st.lists(st.sampled_from((0, 0, 1, -1)), min_size=n, max_size=n))
+    values = [math.nextafter(x, math.inf * d) if d else x for x, d in zip(values, shifts)]
+    return Sequence(values, draw(st.integers(0, 1)))
+
+
+@st.composite
+def candidates(draw, u: Sequence):
+    """The canonical support of u, or a foreign candidate on its window."""
+    s = support_sequence(u)
+    kind = draw(st.sampled_from(("canonical", "ulp", "shuffled", "foreign")))
+    if kind == "canonical":
+        return s
+    if kind == "ulp":
+        signs = draw(st.lists(st.sampled_from((0, 1, -1)), min_size=len(s.values), max_size=len(s.values)))
+        values = [math.nextafter(x, math.inf * d) if d else x for x, d in zip(s.values, signs)]
+    elif kind == "shuffled":
+        values = draw(st.permutations(s.values))
+    else:
+        values = draw(st.lists(wide_floats, min_size=len(s.values), max_size=len(s.values)))
+    return SupportSequence(u, tuple(values), s.first_index, s.last_index)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), u=near_tangent_inputs(), tol=st.sampled_from(HULL_TOLERANCES))
+def test_verify_support_matches_reference_near_the_hull(data, u, tol):
+    candidate = data.draw(candidates(u))
+    expected = repr(_reference_verify(u, candidate, tol))
+    with pytest.MonkeyPatch.context() as mp:
+        for cutoff in (NUMPY_ROWS, PURE_ROWS):
+            _set_cutoff(mp, cutoff)
+            assert repr(_verify_fields(u, candidate, tol)) == expected
+
+
+def _certified_support_ok(u: Sequence, tol: ToleranceConfig) -> bool:
+    """``certify_convexity(u, tol).support_ok``, also when the legs disagree."""
+    try:
+        return certify_convexity(u, tol).support_ok
+    except RuntimeError as exc:
+        # At the tolerance boundary the legs may disagree; the error names
+        # each leg's verdict.
+        return re.search(r"support=(True|False)", str(exc)).group(1) == "True"
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=near_tangent_inputs(), tol=st.sampled_from(HULL_TOLERANCES))
+def test_certificate_support_leg_matches_verify_support(u, tol):
+    assert _certified_support_ok(u, tol) == verify_support(u, support_sequence(u), tol).ok
+
+
+def test_certificate_builds_no_violation_list():
+    rng = random.Random("certificate-memory")
+    u = Sequence([float(rng.randint(0, 1000)) for _ in range(3000)], 0)
+    certify_convexity(u)  # numpy and the module-level caches load untraced
+    tracemalloc.start()
+    try:
+        cert = certify_convexity(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not cert.is_convex and not cert.support_ok
+    # The full list for this input holds millions of (m, n) tuples.
+    assert peak < 20 * 2**20
