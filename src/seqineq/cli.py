@@ -28,12 +28,15 @@ Numbers are serialized with shortest round-trip formatting.  The JSON layout
 is exactly that of ``json.dumps(report, indent=2)``; the tests pin it, both
 against ``json.dumps`` on random trees and on every command's report.
 
-numpy is imported only by the O(N^2) kernels on inputs longer than
+numpy is imported only by the three O(N^2) kernels (support verification,
+subadditive hull, pairwise check) on inputs longer than
 ``PURE_ROWS_MAX_N`` (256) entries, and by ``lagrange`` above degree 3.
 Shorter inputs run the kernels as pure-Python rows, which at N = 256 cost
 less than the roughly 100 ms that importing numpy takes (the fresh-process
 crossover lies between N = 384 and 512); ``--help``, ``spline`` and input
-refusals never load it.
+refusals never load it.  The support sequence is linear, so ``support``
+never loads numpy, and ``check-convex`` loads it only for a support row
+that the lower convex hull does not certify.
 """
 
 from __future__ import annotations

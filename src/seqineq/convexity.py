@@ -15,7 +15,6 @@ disagreement beyond tolerance is a bug, not a property of the input.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -150,60 +149,43 @@ def check_three_point_slopes(
 def support_sequence(u: Sequence) -> SupportSequence:
     """Build the canonical support candidate ``v[n] = min slope over pairs at or after n``.
 
-    For each n in ``[start_index, last_index - 1]``, ``v[n]`` is the minimum
-    of ``slope(u, n1, n2)`` over ``n <= n1 < n2 <= last_index``, together
-    with the lexicographically smallest minimizing pair.  For a convex u
-    this minimum is the adjacent slope ``u[n+1] - u[n]`` and v is monotone;
-    for a non-convex u the candidate always fails :func:`verify_support`.
-    The work is O(N^2), one row per n1: pure-Python rows when
-    ``len(u) <= PURE_ROWS_MAX_N``, numpy rows above it, with equal bits.
+    For each n in ``[start_index, last_index - 1]``, ``v[n]`` is the least
+    adjacent step ``u[k+1] - u[k]`` over ``n <= k < last_index``, and its
+    witness pair is ``(k, k+1)`` for the smallest such k.  In exact
+    arithmetic this is the least slope over all pairs ``n <= n1 < n2``: the
+    slope of a chord is the mean of the adjacent steps it spans, so it is
+    never below the least of them, and equals it only when all of them do.
+    Rounding is monotone, so the least rounded step is the correctly rounded
+    least slope, and on integer-valued input every step is exact.  For a
+    convex u, v is the adjacent slope ``u[n+1] - u[n]`` and monotone; for a
+    non-convex u the candidate always fails :func:`verify_support`.  A step
+    that overflows is raised as a ``ValueError`` naming the first such n.
+    One right-to-left pass, O(N).
     """
     if len(u) < 2:
         raise ValueError("sequence too short")
     vals = u.values
     base = u.start_index
-    count = len(vals) - 1
-    if len(vals) > PURE_ROWS_MAX_N:
-        import numpy as np
-
-        arr = np.array(vals)
-        steps = np.arange(1.0, count + 1)
-        quiet = np.errstate(over="ignore")
-
-        def row_min(i: int) -> tuple[int, float]:
-            row = (arr[i + 1 :] - arr[i]) / steps[: count - i]
-            k = int(row.argmin())
-            return k, row.item(k)
-    else:
-        quiet = contextlib.nullcontext()
-
-        def row_min(i: int) -> tuple[int, float]:
-            a = vals[i]
-            row = [(b - a) / d for d, b in enumerate(vals[i + 1 :], 1)]
-            best = min(row)
-            return row.index(best), best
-
-    v = [0.0] * count
-    witnesses: list[tuple[int, int]] = [(0, 0)] * count
+    steps = [b - a for a, b in zip(vals, vals[1:])]
+    for n, step in enumerate(steps, base):
+        if math.isinf(step):
+            raise ValueError(f"support sequence overflows at n={n}: u[{n + 1}] - u[{n}] = {step!r}")
+    v = [0.0] * len(steps)
+    witnesses = [(0, 0)] * len(steps)
     best = math.inf
     best_pair = (0, 0)
-    # Suffix scan: row i holds the slopes of the pairs starting at n1 = i,
-    # folded into the running minimum for every n <= n1.  Ties prefer
-    # smaller n1 (``<=``), then smaller n2 (``row_min`` returns the first
-    # minimum, with its own bits).
-    with quiet:
-        for i in range(count - 1, -1, -1):
-            k, row_best = row_min(i)
-            if row_best <= best:
-                best = row_best
-                best_pair = (base + i, base + i + 1 + k)
-            v[i] = best
-            witnesses[i] = best_pair
+    # Ties prefer the smaller k (``<=``), with its own bits.
+    for k in range(len(steps) - 1, -1, -1):
+        if steps[k] <= best:
+            best = steps[k]
+            best_pair = (base + k, base + k + 1)
+        v[k] = best
+        witnesses[k] = best_pair
     return SupportSequence(
         base=u,
         values=tuple(v),
         first_index=base,
-        last_index=base + count - 1,
+        last_index=base + len(steps) - 1,
         witness_pairs=tuple(witnesses),
     )
 
@@ -281,15 +263,11 @@ def _row_certifier(u: Sequence, tol: ToleranceConfig):
     return certified
 
 
-def _failing_support_pairs(
-    u: Sequence, s: SupportSequence, tol: ToleranceConfig
-) -> Iterator[tuple[int, int]]:
-    """Yield the ``(m, n)`` pairs that fail :func:`verify_support`'s subgradient test.
+def _row_test(u: Sequence, tol: ToleranceConfig):
+    """Return ``failing(n, vn)``, the m in increasing order whose pair (m, n) fails.
 
-    Pairs come row by row in window order, m increasing within a row.  A row
-    that ``_row_certifier`` proves to pass is skipped; every other row runs
-    in full, as pure-Python rows when ``len(u) <= PURE_ROWS_MAX_N`` and as
-    numpy rows above it, with equal verdicts.
+    Pure-Python rows when ``len(u) <= PURE_ROWS_MAX_N``, numpy rows above
+    it, with equal verdicts.
     """
     vals = u.values
     base = u.start_index
@@ -309,9 +287,25 @@ def _failing_support_pairs(
             un = u[n]
             return [m for m, x in enumerate(vals, base) if not tol.leq(un - x, vn * (n - m))]
 
+    return failing
+
+
+def _failing_support_pairs(
+    u: Sequence, s: SupportSequence, tol: ToleranceConfig
+) -> Iterator[tuple[int, int]]:
+    """Yield the ``(m, n)`` pairs that fail :func:`verify_support`'s subgradient test.
+
+    Pairs come row by row in window order, m increasing within a row.  A row
+    that ``_row_certifier`` proves to pass is skipped; every other row runs
+    in full through ``_row_test``, which is built at the first such row, so
+    an input whose rows are all certified never loads numpy.
+    """
     certified = _row_certifier(u, tol)
+    failing = None
     for n, vn in enumerate(map(float, s.values), s.first_index):
         if not certified(n, vn):
+            if failing is None:
+                failing = _row_test(u, tol)
             for m in failing(n, vn):
                 yield m, n
 
@@ -357,7 +351,9 @@ def certify_convexity(
     """Run all three convexity criteria and assert that they agree.
 
     Sequences shorter than 2 carry no support sequence; the support leg is
-    then vacuously true.  The support leg gives the verdict of
+    then vacuously true; on longer ones :func:`support_sequence` raises a
+    ``ValueError`` when an adjacent step overflows.  The support leg gives
+    the verdict of
     :func:`verify_support` without building its lists: it skips the rows
     that the lower convex hull certifies and stops at the first failing
     pair.  If that pair's terms ``u[n] - u[m]`` or ``v[n] * (n - m)``

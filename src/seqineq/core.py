@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-# The O(N^2) kernels (support_sequence, verify_support, subadditive_hull,
+# The O(N^2) kernels (verify_support, subadditive_hull,
 # is_subadditive_pairwise) run pure-Python rows on inputs of at most this
 # many entries and numpy rows on longer ones, with bit-identical results.
 # Importing numpy takes about 100 ms on a 2-vCPU VM.  verify_support, the
@@ -65,9 +65,6 @@ class ToleranceConfig:
         with np.errstate(over="ignore", invalid="ignore"):
             scale = np.maximum(np.abs(x), np.abs(y))
             return x <= y + np.fmax(self.abs_tol, self.rel_tol * scale)
-
-    def geq(self, x: float, y: float) -> bool:
-        return self.leq(y, x)
 
 
 DEFAULT_TOLERANCE = ToleranceConfig()

@@ -88,9 +88,6 @@ class QuadraticPiece:
     def __call__(self, x: float) -> float:
         return (self.a * x + self.b) * x + self.c
 
-    def as_polynomial(self) -> Polynomial:
-        return Polynomial((self.c, self.b, self.a))
-
 
 def quadratic_piece(u: Sequence, n: int) -> QuadraticPiece:
     """Local quadratic interpolant of u at interior absolute index n.

@@ -280,6 +280,7 @@ HULL_OVERFLOW = "subadditive hull overflows at n=4: v[4] = -inf, w[4] = inf"
             "support check overflows at (m, n) = (2, 0): u[0] - u[2] = -inf, "
             "v[0] = 1.7e+308, v[0] * (0 - 2) = -inf",
         ),
+        (["support"], "support sequence overflows at n=1: u[2] - u[1] = -inf"),
     ],
 )
 def test_overflow_is_named_on_finite_input(tmp_path, capsys, argv, message):
@@ -294,6 +295,15 @@ def test_overflow_is_named_on_finite_input(tmp_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_overflowing_chords_leave_support_finite(tmp_path, capsys):
+    # Both steps are finite; only the chord from 0 to 2 overflows.
+    path = _write(tmp_path, "wide.csv", "# start_index=0\n1.7e308\n0\n-1.7e308\n")
+    assert run_cli(["check-convex", path]) == 0
+    assert _report(capsys)["convexity"]["support_ok"] is True
+    assert run_cli(["support", path]) == 0
+    assert _report(capsys)["support"]["values"] == [-1.7e308, -1.7e308]
 
 
 def test_warning_is_one_line_on_stderr(tmp_path, capsys):
@@ -350,6 +360,8 @@ for path in (seq, at_cutoff):
     for command in ("check-convex", "support", "hull", "epsilon", "decompose", "check-subadd"):
         codes.append(run_cli([command, path]))
     codes.append(run_cli(["check-subadd", path, "--eps", "1"]))
+codes.append(run_cli(["check-convex", above_cutoff]))
+codes.append(run_cli(["support", above_cutoff]))
 before = "numpy" in sys.modules
 codes.append(run_cli(["hull", above_cutoff]))
 sys.__stdout__.write(json.dumps([codes, before, "numpy" in sys.modules]))
@@ -372,9 +384,10 @@ def test_startup_help_spline_and_refusals_do_not_load_numpy(tmp_path):
     # check-convex, support, hull, epsilon, decompose, check-subadd, --eps 1
     kernels_on_seq = [1, 0, 0, 0, 0, 1, 1]
     kernels_on_squares = [0, 0, 0, 0, 0, 1, 1]
-    assert codes == [0, 0, 0, 2, 2, 2, 2, 2] + kernels_on_seq + kernels_on_squares + [0]
-    # --help, spline, every refusal and every kernel on up to
-    # PURE_ROWS_MAX_N entries ran without numpy
+    assert codes == [0, 0, 0, 2, 2, 2, 2, 2] + kernels_on_seq + kernels_on_squares + [0, 0, 0]
+    # --help, spline, every refusal, every kernel on up to PURE_ROWS_MAX_N
+    # entries, and check-convex and support on a convex input above it ran
+    # without numpy
     assert not before
     assert after  # the hull kernel loads it one entry above the cutoff
 

@@ -1,7 +1,8 @@
 """The O(N^2) kernels, on both row paths, against the scalar loops they replaced.
 
-Each kernel computes one row at a time: pure-Python rows for inputs of at
-most ``PURE_ROWS_MAX_N`` entries, numpy rows above it.  The four
+The three O(N^2) kernels (``verify_support``, ``subadditive_hull`` and
+``is_subadditive_pairwise``) compute one row at a time: pure-Python rows for
+inputs of at most ``PURE_ROWS_MAX_N`` entries, numpy rows above it.  The
 ``_reference_*`` functions below are the scalar double loops the package
 used before its kernels were written as rows.  They are kept here, and only
 here, as oracles: values, witnesses and violation lists must match them bit
@@ -9,6 +10,12 @@ for bit (compared through ``repr``), including signed zeros, floats across
 many magnitudes and sums that overflow to infinity.  Every comparison runs
 on both paths, by moving the cutoff below or above the input length, and
 the two paths must agree at the real cutoff and one entry above it.
+
+``support_sequence`` is one linear pass over the adjacent steps and never
+loads numpy.  Its oracle is exact: the least slope over all pairs at or
+after n, in ``fractions.Fraction``, rounded once.  ``_reference_support``,
+the old O(N^2) chord scan, rounds each chord twice, so it stays only as a
+lower bound that is reached when no rounding happens.
 
 ``verify_support`` skips the rows that the lower convex hull proves to pass.
 The properties at the end aim at that proof: convex sequences with entries
@@ -27,6 +34,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +193,58 @@ def _verify_fields(u: Sequence, s: SupportSequence, tol: ToleranceConfig):
 
 # -------------------------------------------------------------------- tests
 
+def _exact_support(u: Sequence):
+    """v[n] as the least slope over all pairs at or after n, rounded once."""
+    q = [Fraction(x) for x in u.values]
+    steps = []
+    for k in range(len(q) - 1):
+        try:
+            steps.append(float(q[k + 1] - q[k]))
+        except OverflowError:
+            n = u.start_index + k
+            step = math.inf if q[k + 1] > q[k] else -math.inf
+            return f"ValueError: support sequence overflows at n={n}: u[{n + 1}] - u[{n}] = {step!r}"
+    v, pairs = [], []
+    best = None
+    for i in range(len(q) - 2, -1, -1):
+        row = min((q[j] - q[i]) / (j - i) for j in range(i + 1, len(q)))
+        best = row if best is None else min(best, row)
+        v.append(float(best))
+    for k, vk in enumerate(reversed(v)):
+        first = next(j for j in range(k, len(steps)) if steps[j] == vk)
+        pairs.append((u.start_index + first, u.start_index + first + 1))
+    return tuple(reversed(v)), tuple(pairs)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_support_sequence_is_the_rounded_least_slope(family):
+    for length, values, _ in _cases(family):
+        for base in (0, 1):
+            u = Sequence(values, base)
+            if length < 2:
+                with pytest.raises(ValueError, match="too short"):
+                    support_sequence(u)
+                continue
+            expected = _exact_support(u)
+            try:
+                s = support_sequence(u)
+            except ValueError as exc:
+                assert f"ValueError: {exc}" == expected
+                continue
+            got = s.values, s.witness_pairs
+            # == on values, so that 0.0 and -0.0 both match the oracle's 0.0;
+            # each value carries the bits of its witness step.
+            assert got == expected
+            assert all(repr(x) == repr(u[n + 1] - u[n]) for x, (n, _) in zip(*got))
+            # The old chord scan's minimum includes every step, so it is a
+            # lower bound; without rounding (small-int, signed-zero) it is
+            # reached, bits and witnesses included.
+            old = _reference_support(u)
+            assert all(x >= y for x, y in zip(got[0], old[0]))
+            if family in ("small-int", "signed-zero"):
+                assert repr(got) == repr(old)
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_support_kernels_match_reference(family, monkeypatch):
     for cutoff in (NUMPY_ROWS, PURE_ROWS):
@@ -196,24 +256,35 @@ def _check_support_kernels(family):
     for length, values, rng in _cases(family):
         for base in (0, 1):
             u = Sequence(values, base)
-            if length < 2:
-                with pytest.raises(ValueError, match="too short"):
-                    support_sequence(u)
-                continue
-            s = support_sequence(u)
-            assert repr((s.values, s.witness_pairs)) == repr(_reference_support(u))
-            if base != length // 2 % 2:
+            if length < 2 or base != length // 2 % 2:
                 continue
             # Odd lengths verify the canonical candidate, even lengths a
             # foreign one that fills both violation lists.  Base, candidate
             # and tolerance take all eight combinations within any 8 lengths.
-            candidate = s if length % 2 else SupportSequence(
-                u, tuple(FAMILIES[family](rng) for _ in range(length - 1)), base, u.last_index - 1
-            )
+            if length % 2:
+                try:
+                    candidate = support_sequence(u)
+                except ValueError:
+                    # A step overflows: verify the old chord scan's
+                    # candidate instead, with its infinite values.
+                    candidate = SupportSequence(u, _reference_support(u)[0], base, u.last_index - 1)
+            else:
+                candidate = SupportSequence(
+                    u, tuple(FAMILIES[family](rng) for _ in range(length - 1)), base, u.last_index - 1
+                )
             tol = TOLERANCES[length // 4 % 2]
             assert _outcome(_verify_fields, u, candidate, tol) == _outcome(
                 _reference_verify, u, candidate, tol
             )
+
+
+def test_support_is_the_least_step_not_a_rounded_chord():
+    u = Sequence((-0.07162001407713015, 0.6283799859228698, 1.3283799859228698, 2.0283799859228697), 0)
+    # (u[3] - u[0]) / 3 rounds twice and lands below every rounded step.
+    assert _reference_support(u)[0][0] == 0.6999999999999998
+    assert _reference_support(u)[1][0] == (0, 3)
+    s = support_sequence(u)
+    assert (s.values[0], s.witness_pairs[0]) == (0.7, (0, 1))
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -296,13 +367,15 @@ def test_kernels_raise_no_numpy_warnings(values, monkeypatch):
     u = Sequence(values, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        s = support_sequence(u)
-        verify_support(u, s)
         verify_support(u, SupportSequence(u, (math.inf, -math.inf, 0.0), 1, 3))
         if values == BIG:
+            verify_support(u, support_sequence(u))
             subadditive_hull(u)
         else:
-            # The hull reaches -inf, so w = u - v is not finite.
+            # The steps and the hull reach -inf, so v and w = u - v are not
+            # finite.
+            with pytest.raises(ValueError, match="support sequence overflows"):
+                support_sequence(u)
             with pytest.raises(ValueError):
                 subadditive_hull(u)
         is_subadditive_pairwise(u)
