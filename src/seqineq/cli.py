@@ -25,8 +25,14 @@ Reports are JSON documents with a fixed key set (see
 ``schemas/report.schema.json``); ``--format csv`` flattens the same report
 into key,value rows, except for ``spline`` where CSV emits plot data.
 Numbers are serialized with shortest round-trip formatting.  The JSON layout
-is exactly that of ``json.dumps(report, indent=2)``; the tests pin it, both
-against ``json.dumps`` on random trees and on every command's report.
+is exactly that of ``json.dumps(report, indent=2)``, and the CSV that of
+``csv.writer`` over the flattened report; the tests pin both, against
+``json.dumps`` on random trees and on every command's report.  The O(N^2)
+arrays (hull witnesses and pairwise violations) are never built: they are
+rendered as text one row at a time, straight to stdout, so the working
+memory stays O(N) plus one row whatever the size of the report.  ``hull``
+and ``decompose`` check the order of every witness from the parent pointers
+before writing anything.
 
 numpy is imported only by the three O(N^2) kernels (support verification,
 subadditive hull, pairwise check) on inputs longer than
@@ -44,11 +50,13 @@ from __future__ import annotations
 import argparse
 import csv
 import importlib.resources
+import itertools
 import json
 import os
 import sys
 import warnings
 from json.encoder import encode_basestring_ascii
+from typing import Iterator
 
 from . import __version__
 from .convexity import certify_convexity, support_sequence
@@ -56,10 +64,11 @@ from .core import DEFAULT_TOLERANCE, Sequence, ToleranceConfig, classify
 from .interpolation import lagrange_polynomial, polynomial_convexity_on_interval, quadratic_piece, spline_center
 from .sequence_io import read_sequence, write_sequence
 from .subadditivity import (
+    HullResult,
     check_epsilon,
     decompose,
     epsilon_star,
-    is_subadditive_pairwise,
+    pairwise_violation_rows,
     subadditive_hull,
 )
 
@@ -164,20 +173,71 @@ def _base_report(command: str, u: Sequence, tol: ToleranceConfig) -> dict:
     }
 
 
-def _flatten(prefix: str, node, rows: list[tuple[str, str]]) -> None:
+class _IntArrays:
+    """A report's array of int arrays, produced one row at a time and read once.
+
+    A row ``(lead, lasts)`` stands for the arrays ``[*lead, x]`` for each x
+    in ``lasts``: a failing row of the pairwise test is ``([m], ns)``, and
+    a witness is ``(parts[:-1], parts[-1:])``.  Every int is below ``bound``.
+    A plain class: defining a dataclass costs every start-up about 1 ms.
+    """
+
+    def __init__(self, rows: Iterator[tuple[list[int], list[int]]], bound: int) -> None:
+        self.rows = rows
+        self.bound = bound
+
+
+def _brackets(indent: str | None) -> tuple[str, str, str]:
+    # Opening, separator and closing of an array on a line indented by
+    # ``indent`` as ``json.dumps(indent=2)`` lays it out, or as plain
+    # ``json.dumps`` does when ``indent`` is None.
+    if indent is None:
+        return "[", ", ", "]"
+    inner = indent + "  "
+    return "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
+
+
+def _int_array_chunks(node: _IntArrays, indent: str | None) -> Iterator[str]:
+    """``node`` as text laid out by ``_brackets(indent)``, one chunk per row."""
+    outer_open, outer_sep, outer_close = _brackets(indent)
+    item_open, item_sep, item_close = _brackets(None if indent is None else indent + "  ")
+    dec = [str(i) for i in range(node.bound)]
+    dec_sep = [d + item_sep for d in dec]
+    between = item_close + outer_sep
+    sep = None
+    for lead, lasts in node.rows:
+        head = item_open + "".join(map(dec_sep.__getitem__, lead))
+        yield (sep or outer_open) + head + (between + head).join(map(dec.__getitem__, lasts)) + item_close
+        sep = outer_sep
+    yield outer_close if sep else "[]"
+
+
+def _flatten(prefix: str, node, writer) -> None:
     if isinstance(node, dict):
         for key, value in node.items():
-            _flatten(f"{prefix}.{key}" if prefix else key, value, rows)
+            _flatten(f"{prefix}.{key}" if prefix else key, value, writer)
+    elif isinstance(node, _IntArrays):
+        # The text holds no quote or line break, so ``csv.writer`` quotes it
+        # iff it holds a comma; after the first two chunks it must, if ever.
+        # Keys are plain dotted names, which the writer never quotes.
+        chunks = _int_array_chunks(node, None)
+        head = next(chunks) + next(chunks, "")
+        quote = '"' if "," in head else ""
+        write = sys.stdout.write
+        write(f"{prefix},{quote}{head}")
+        for chunk in chunks:
+            write(chunk)
+        write(f"{quote}\n")
     else:
-        rows.append((prefix, json.dumps(node)))
+        writer.writerow((prefix, json.dumps(node)))
 
 
 # One-line JSON with the C encoder (``json.dumps(indent=2)`` never uses it).
 _encode = json.JSONEncoder(check_circular=False).encode
 
 
-def _json_chunks(node, indent: str, out: list[str]) -> None:
-    """Append ``node`` to ``out`` laid out as ``json.dumps(node, indent=2)``.
+def _json_chunks(node, indent: str, write) -> None:
+    """Pass ``node`` to ``write`` laid out as ``json.dumps(node, indent=2)``.
 
     ``indent`` is the indentation of the line ``node`` starts on.  An array of
     numbers, bools and nulls, or an array of such non-empty arrays, is
@@ -186,28 +246,31 @@ def _json_chunks(node, indent: str, out: list[str]) -> None:
     object does) or an empty array is walked item by item instead: a string
     could hold the separators that the replacement looks for, and ``[]``
     stays on one line.  ``{}`` stays on one line too, like a number.  Object
-    keys must be strings.
+    keys must be strings.  An ``_IntArrays`` is rendered row by row.
     """
     inner = indent + "  "
     if isinstance(node, dict):
         if not node:
-            out.append("{}")
+            write("{}")
             return
         sep = "{\n"
         for key, value in node.items():
-            out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
-            _json_chunks(value, inner, out)
+            write(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _json_chunks(value, inner, write)
             sep = ",\n"
-        out.append(f"\n{indent}}}")
+        write(f"\n{indent}}}")
+    elif isinstance(node, _IntArrays):
+        for chunk in _int_array_chunks(node, indent):
+            write(chunk)
     elif isinstance(node, (list, tuple)):
         if not node:
-            out.append("[]")
+            write("[]")
             return
         text = _encode(node)
         if '"' not in text and "[]" not in text:
             if text.count("[") == 1:
                 body = text[1:-1].replace(", ", ",\n" + inner)
-                out.append(f"[\n{inner}{body}\n{indent}]")
+                write(f"[\n{inner}{body}\n{indent}]")
                 return
             # Only an array of arrays of scalars opens with "[[", closes
             # with "]]" and opens every other array right after "], [".
@@ -217,30 +280,39 @@ def _json_chunks(node, indent: str, out: list[str]) -> None:
                 body = (text[2:-2]
                         .replace("], [", f"\n{inner}],\n{inner}[\n{inner2}")
                         .replace(", ", ",\n" + inner2))
-                out.append(f"[\n{inner}[\n{inner2}{body}\n{inner}]\n{indent}]")
+                write(f"[\n{inner}[\n{inner2}{body}\n{inner}]\n{indent}]")
                 return
         sep = "[\n"
         for item in node:
-            out.append(sep + inner)
-            _json_chunks(item, inner, out)
+            write(sep + inner)
+            _json_chunks(item, inner, write)
             sep = ",\n"
-        out.append(f"\n{indent}]")
+        write(f"\n{indent}]")
     else:
-        out.append(_encode(node))
+        write(_encode(node))
 
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        chunks: list[str] = []
-        _json_chunks(report, "", chunks)
-        sys.stdout.writelines(chunks)
+        _json_chunks(report, "", sys.stdout.write)
         sys.stdout.write("\n")
         return
-    rows: list[tuple[str, str]] = []
-    _flatten("", report, rows)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(("key", "value"))
-    writer.writerows(rows)
+    _flatten("", report, writer)
+
+
+def _witnesses(hull: HullResult) -> _IntArrays:
+    # Checked while the report is built, so that a refusal comes before any
+    # output and any --out-v/--out-w file; the rows are rendered later.
+    hull.check_witness_order()
+
+    def rows():
+        for n in range(1, len(hull.last_part) + 1):
+            parts = list(hull.witness_parts(n))
+            yield parts[:-1], parts[-1:]
+
+    return _IntArrays(rows(), len(hull.last_part) + 1)
 
 
 def _cmd_check_convex(args, tol: ToleranceConfig, fmt: str) -> int:
@@ -339,7 +411,7 @@ def _cmd_hull(args, tol: ToleranceConfig, fmt: str) -> int:
     report = _base_report("hull", u, tol)
     report["hull"] = {
         "v": result.v.values,
-        "witnesses": [w.parts for w in result.witnesses],
+        "witnesses": _witnesses(result),
     }
     _emit(report, fmt)
     return EXIT_OK
@@ -359,7 +431,7 @@ def _cmd_decompose(args, tol: ToleranceConfig, fmt: str) -> int:
         "v": split.v.values,
         "w": split.w.values,
         "epsilon_star": split.epsilon_star,
-        "witnesses": [w.parts for w in split.witnesses],
+        "witnesses": _witnesses(split),
     }
     if args.out_v:
         write_sequence(args.out_v, split.v)
@@ -385,12 +457,18 @@ def _cmd_check_subadd(args, tol: ToleranceConfig, fmt: str) -> int:
             "epsilon_star": gap,
         }
     else:
-        check = is_subadditive_pairwise(u, tol)
-        ok = check.ok
+        # ``ok`` precedes ``violations`` in the report: peek at the first
+        # failing row, then stream it and the rest.
+        rows = pairwise_violation_rows(u, tol)
+        first = next(rows, None)
+        ok = first is None
+        violations = () if ok else _IntArrays(
+            (([m], ns) for m, ns in itertools.chain([first], rows)), len(u) + 1
+        )
         report["subadditivity"] = {
             "mode": "pairwise",
             "ok": ok,
-            "violations": check.violations,
+            "violations": violations,
             "epsilon": None,
             "epsilon_star": None,
         }

@@ -8,8 +8,13 @@ The subadditive hull v of u is the largest subadditive sequence below u,
     v[n] = min over integer partitions n = j1 + ... + jk of u[j1] + ... + u[jk],
 
 computed by one O(N^2) dynamic-programming pass, one row per index, that
-keeps a parent pointer per index; witness partitions are expanded from the
-pointers when read.  The rows, here and in the pairwise check, are
+keeps a parent pointer per index; witness partitions are walked from the
+pointers when read, and their order is checked from the pointers alone in
+O(N), so no caller has to expand the O(N^2) parts to learn whether they are
+valid.  The pairwise test ``u[m+n] <= u[m] + u[n]`` has one row generator,
+``pairwise_violation_rows``, which yields each failing row in turn; the
+``PairwiseCheck`` is built from it, and a caller that streams the rows holds
+one row at a time.  The rows, here and in the pairwise check, are
 pure-Python lists up to ``PURE_ROWS_MAX_N`` entries (so short inputs never
 import numpy) and numpy arrays above it, with bit-identical results.
 The gap ``epsilon_star = max(u[n] - v[n])`` is the smallest eps for which u
@@ -55,7 +60,9 @@ class PartitionWitness:
 class HullResult:
     """Hull v, remainder ``w = u - v`` with its maximum, and parent pointers.
 
-    ``witnesses`` expands ``last_part`` on first access and keeps the result.
+    The witness of n is ``last_part[n - 1]`` followed by the witness of
+    ``n - last_part[n - 1]``; ``witness_parts`` walks that chain, and
+    ``witnesses`` expands every chain on first access and keeps the result.
     """
 
     v: Sequence
@@ -63,12 +70,32 @@ class HullResult:
     epsilon_star: float
     last_part: tuple[int, ...]
 
+    def witness_parts(self, n: int) -> Iterator[int]:
+        """The parts of the witness of n, first to last."""
+        last_part = self.last_part
+        while n:
+            j = last_part[n - 1]
+            yield j
+            n -= j
+
+    def check_witness_order(self) -> None:
+        """Raise as ``PartitionWitness`` would on an out-of-order witness.
+
+        Witness n is ``(j,) + witness(n - j)``, so, given that every shorter
+        witness is in order, it is nondecreasing iff j is at most the first
+        part of ``witness(n - j)``, ``last_part[n - j - 1]``.  O(N).
+        """
+        last_part = self.last_part
+        for n, j in enumerate(last_part, 1):
+            if j < n and j > last_part[n - j - 1]:
+                raise ValueError("parts must be nondecreasing")
+
     @cached_property
     def witnesses(self) -> tuple[PartitionWitness, ...]:
-        parts_at: list[tuple[int, ...]] = [()]
-        for n, j in enumerate(self.last_part, 1):
-            parts_at.append((j,) + parts_at[n - j])
-        return tuple(PartitionWitness(n, parts_at[n]) for n in range(1, len(parts_at)))
+        return tuple(
+            PartitionWitness(n, tuple(self.witness_parts(n)))
+            for n in range(1, len(self.last_part) + 1)
+        )
 
 
 @dataclass(frozen=True)
@@ -195,35 +222,46 @@ def subadditive_hull(u: Sequence) -> HullResult:
     return HullResult(Sequence(v_vals, 1), Sequence(w, 1), max(w), tuple(last_part))
 
 
-def is_subadditive_pairwise(
+def pairwise_violation_rows(
     u: Sequence, tol: ToleranceConfig = DEFAULT_TOLERANCE
-) -> PairwiseCheck:
-    """Check ``u[m+n] <= u[m] + u[n]`` for all m <= n with m+n in range."""
+) -> Iterator[tuple[int, list[int]]]:
+    """Yield ``(m, ns)`` for each m whose row has pairs with ``u[m+n] > u[m] + u[n]``.
+
+    Row m compares u[2m:] with u[m] + u[m:last-m+1], over n = m..last-m;
+    ``ns`` lists its failing n in increasing order.  Rows come in increasing
+    m and only one is held at a time, so the working memory is O(N).
+    """
     _require_base1(u)
     vals = u.values
     last = u.last_index
-    # Row m compares u[2m:] with u[m] + u[m:last-m+1], over n = m..last-m,
-    # and lists the failing n.
     if len(vals) > PURE_ROWS_MAX_N:
         import numpy as np
 
         arr = np.array(vals)
-        quiet = np.errstate(over="ignore")
-
-        def failing(m: int) -> list[int]:
-            ok = tol.leq_mask(arr[2 * m - 1 :], arr[m - 1] + arr[m - 1 : last - m])
-            return (np.flatnonzero(~ok) + m).tolist()
+        for m in range(1, last // 2 + 1):
+            # Entered per row: a generator must not hold it across a yield.
+            with np.errstate(over="ignore"):
+                ok = tol.leq_mask(arr[2 * m - 1 :], arr[m - 1] + arr[m - 1 : last - m])
+            bad = np.flatnonzero(~ok)
+            if bad.size:
+                yield m, (bad + m).tolist()
     else:
-        quiet = contextlib.nullcontext()
-
-        def failing(m: int) -> list[int]:
+        for m in range(1, last // 2 + 1):
             um = vals[m - 1]
             pairs = zip(vals[2 * m - 1 :], vals[m - 1 : last - m])
-            return [n for n, (x, y) in enumerate(pairs, m) if not tol.leq(x, um + y)]
+            bad = [n for n, (x, y) in enumerate(pairs, m) if not tol.leq(x, um + y)]
+            if bad:
+                yield m, bad
 
-    with quiet:
-        violations = [(m, n) for m in range(1, last // 2 + 1) for n in failing(m)]
-    return PairwiseCheck(not violations, tuple(violations))
+
+def is_subadditive_pairwise(
+    u: Sequence, tol: ToleranceConfig = DEFAULT_TOLERANCE
+) -> PairwiseCheck:
+    """Check ``u[m+n] <= u[m] + u[n]`` for all m <= n with m+n in range."""
+    violations = tuple(
+        (m, n) for m, ns in pairwise_violation_rows(u, tol) for n in ns
+    )
+    return PairwiseCheck(not violations, violations)
 
 
 def epsilon_star(u: Sequence) -> float:

@@ -305,11 +305,17 @@ def _all_kernels(values, rng, family):
     out = []
     for base in (0, 1):
         u = Sequence(values, base)
-        s = support_sequence(u)
+        try:
+            s = support_sequence(u)
+        except ValueError as exc:
+            out.append(f"ValueError: {exc}")
+            # A step overflows: verify the old chord scan's candidate instead.
+            s = SupportSequence(u, _reference_support(u)[0], base, u.last_index - 1)
+        else:
+            out.append(repr((s.values, s.witness_pairs)))
         foreign = SupportSequence(
             u, tuple(FAMILIES[family](rng) for _ in range(len(u) - 1)), base, u.last_index - 1
         )
-        out.append(repr((s.values, s.witness_pairs)))
         out.append(_outcome(_verify_fields, u, s, TOLERANCES[base]))
         out.append(_outcome(_verify_fields, u, foreign, TOLERANCES[1 - base]))
     u = Sequence(values, 1)
@@ -323,7 +329,8 @@ def _all_kernels(values, rng, family):
 @pytest.mark.parametrize("length", [PURE_ROWS_MAX_N, PURE_ROWS_MAX_N + 1])
 def test_both_row_paths_agree_at_the_cutoff(family, length, monkeypatch):
     draw = FAMILIES[family]
-    values = tuple(draw(random.Random(f"cutoff-{family}-{length}")) for _ in range(length))
+    rng = random.Random(f"cutoff-{family}-{length}")
+    values = tuple(draw(rng) for _ in range(length))
     seed = f"foreign-{family}-{length}"
     default = _all_kernels(values, random.Random(seed), family)
     _set_cutoff(monkeypatch, NUMPY_ROWS)

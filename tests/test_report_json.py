@@ -42,7 +42,7 @@ trees = st.recursive(
 
 def _write(node) -> str:
     chunks: list[str] = []
-    _json_chunks(node, "", chunks)
+    _json_chunks(node, "", chunks.append)
     return "".join(chunks)
 
 
