@@ -15,6 +15,15 @@ Commands
 * ``decompose FILE``      split u into subadditive part plus remainder
 * ``check-subadd FILE``   pairwise test, or hull test against ``--eps``; exit 0/1
 
+Each command is one entry of the table ``_COMMANDS``: its help text, the
+options of its own, and a builder that turns the input into the report
+sections that follow the common header (tool, command, tolerance, input)
+and says whether the property holds.  ``run_cli`` does the rest for every
+command: it parses the command line, reads the input once, calls the
+builder, writes the report and turns the verdict into the exit code.
+``epsilon`` and ``spline --format csv`` write their own output instead of
+a report.
+
 Exit code 2 means the input could not be used (unreadable file, malformed
 numbers, wrong index base, unknown flags); a one-line diagnostic goes to
 stderr.  Exit code 141 (128 + SIGPIPE, what a shell reports for a process
@@ -96,72 +105,6 @@ def load_report_schema() -> dict:
         .read_text()
     )
     return json.loads(text)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    # Shared options are declared on the main parser and on every subparser
-    # (with SUPPRESS defaults) so they are accepted in either position.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--abs-tol",
-        type=float,
-        default=argparse.SUPPRESS,
-        help="absolute slack for inequality checks (default 1e-9)",
-    )
-    common.add_argument(
-        "--rel-tol",
-        type=float,
-        default=argparse.SUPPRESS,
-        help="relative slack for inequality checks (default 1e-9)",
-    )
-    common.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default=argparse.SUPPRESS,
-        help="report style (default json)",
-    )
-
-    parser = _Parser(
-        prog="seqineq",
-        parents=[common],
-        description="Analyze a finite real sequence for convexity and subadditivity.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("check-convex", parents=[common], help="certify or refute convexity")
-    p.add_argument("file")
-
-    p = sub.add_parser("support", parents=[common], help="support (subgradient) sequence")
-    p.add_argument("file")
-
-    p = sub.add_parser("spline", parents=[common], help="local quadratic pieces and samples")
-    p.add_argument("file")
-    p.add_argument(
-        "--samples",
-        type=int,
-        default=16,
-        help="samples per unit interval (default 16)",
-    )
-
-    p = sub.add_parser("lagrange", parents=[common], help="global interpolant coefficients")
-    p.add_argument("file")
-
-    p = sub.add_parser("hull", parents=[common], help="subadditive hull with witnesses")
-    p.add_argument("file")
-
-    p = sub.add_parser("epsilon", parents=[common], help="smallest eps for approximate subadditivity")
-    p.add_argument("file")
-
-    p = sub.add_parser("decompose", parents=[common], help="split into subadditive part plus remainder")
-    p.add_argument("file")
-    p.add_argument("--out-v", help="write the subadditive part to this sequence file")
-    p.add_argument("--out-w", help="write the remainder to this sequence file")
-
-    p = sub.add_parser("check-subadd", parents=[common], help="pairwise or approximate subadditivity test")
-    p.add_argument("file")
-    p.add_argument("--eps", type=float, help="test approximate subadditivity at this eps")
-
-    return parser
 
 
 def _base_report(command: str, u: Sequence, tol: ToleranceConfig) -> dict:
@@ -315,38 +258,33 @@ def _witnesses(hull: HullResult) -> _IntArrays:
     return _IntArrays(rows(), len(hull.last_part) + 1)
 
 
-def _cmd_check_convex(args, tol: ToleranceConfig, fmt: str) -> int:
-    u = read_sequence(args.file)
+def _check_convex(u: Sequence, args, tol: ToleranceConfig):
     cert = certify_convexity(u, tol)
-    report = _base_report("check-convex", u, tol)
-    report["classification"] = classify(u, tol).as_dict()
-    report["convexity"] = {
-        "is_convex": cert.is_convex,
-        "defining_violations": cert.defining.violations,
-        "slopes_ok": cert.slopes_ok,
-        "first_violating_triple": list(cert.slope_violation) if cert.slope_violation else None,
-        "support_ok": cert.support_ok,
+    return cert.is_convex, {
+        "classification": classify(u, tol).as_dict(),
+        "convexity": {
+            "is_convex": cert.is_convex,
+            "defining_violations": cert.defining.violations,
+            "slopes_ok": cert.slopes_ok,
+            "first_violating_triple": list(cert.slope_violation) if cert.slope_violation else None,
+            "support_ok": cert.support_ok,
+        },
     }
-    _emit(report, fmt)
-    return EXIT_OK if cert.is_convex else EXIT_PROPERTY_FAILED
 
 
-def _cmd_support(args, tol: ToleranceConfig, fmt: str) -> int:
-    u = read_sequence(args.file)
+def _support(u: Sequence, args, tol: ToleranceConfig):
     s = support_sequence(u)
-    report = _base_report("support", u, tol)
-    report["support"] = {
-        "first_index": s.first_index,
-        "last_index": s.last_index,
-        "values": s.values,
-        "witness_pairs": s.witness_pairs or (),
+    return True, {
+        "support": {
+            "first_index": s.first_index,
+            "last_index": s.last_index,
+            "values": s.values,
+            "witness_pairs": s.witness_pairs or (),
+        },
     }
-    _emit(report, fmt)
-    return EXIT_OK
 
 
-def _cmd_spline(args, tol: ToleranceConfig, fmt: str) -> int:
-    u = read_sequence(args.file)
+def _spline(u: Sequence, args, tol: ToleranceConfig):
     per_unit = args.samples
     if per_unit < 1:
         raise ValueError("--samples must be at least 1")
@@ -362,7 +300,7 @@ def _cmd_spline(args, tol: ToleranceConfig, fmt: str) -> int:
     xs.append(float(u.last_index))
     # Each sample is spline_eval(u, x), from the piece already built.
     samples = [(x, pieces[spline_center(u, x) - first](x)) for x in xs]
-    if fmt == "csv":
+    if args.format == "csv":
         for piece in pieces:
             print(
                 f"# piece center={piece.center} a={piece.a!r} b={piece.b!r} c={piece.c!r}"
@@ -370,22 +308,20 @@ def _cmd_spline(args, tol: ToleranceConfig, fmt: str) -> int:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(("x", "y"))
         writer.writerows((repr(x), repr(y)) for x, y in samples)
-        return EXIT_OK
-    report = _base_report("spline", u, tol)
-    report["spline"] = {
-        "pieces": [
-            {"center": piece.center, "a": piece.a, "b": piece.b, "c": piece.c}
-            for piece in pieces
-        ],
-        "samples_per_unit": per_unit,
-        "samples": samples,
+        return True, None
+    return True, {
+        "spline": {
+            "pieces": [
+                {"center": piece.center, "a": piece.a, "b": piece.b, "c": piece.c}
+                for piece in pieces
+            ],
+            "samples_per_unit": per_unit,
+            "samples": samples,
+        },
     }
-    _emit(report, fmt)
-    return EXIT_OK
 
 
-def _cmd_lagrange(args, tol: ToleranceConfig, fmt: str) -> int:
-    u = read_sequence(args.file)
+def _lagrange(u: Sequence, args, tol: ToleranceConfig):
     p = lagrange_polynomial(u)
     if len(u) >= 2:
         lo, hi = float(u.start_index), float(u.last_index)
@@ -394,69 +330,46 @@ def _cmd_lagrange(args, tol: ToleranceConfig, fmt: str) -> int:
     else:
         interval = None
         convexity_class = None
-    report = _base_report("lagrange", u, tol)
-    report["lagrange"] = {
-        "coefficients": p.coefficients,
-        "degree": p.degree,
-        "interval": interval,
-        "convexity_class": convexity_class,
+    return True, {
+        "lagrange": {
+            "coefficients": p.coefficients,
+            "degree": p.degree,
+            "interval": interval,
+            "convexity_class": convexity_class,
+        },
     }
-    _emit(report, fmt)
-    return EXIT_OK
 
 
-def _cmd_hull(args, tol: ToleranceConfig, fmt: str) -> int:
-    u = read_sequence(args.file)
+def _hull(u: Sequence, args, tol: ToleranceConfig):
     result = subadditive_hull(u)
-    report = _base_report("hull", u, tol)
-    report["hull"] = {
-        "v": result.v.values,
-        "witnesses": _witnesses(result),
-    }
-    _emit(report, fmt)
-    return EXIT_OK
+    return True, {"hull": {"v": result.v.values, "witnesses": _witnesses(result)}}
 
 
-def _cmd_epsilon(args, tol: ToleranceConfig, fmt: str) -> int:
-    u = read_sequence(args.file)
+def _epsilon(u: Sequence, args, tol: ToleranceConfig):
     print(repr(epsilon_star(u)))
-    return EXIT_OK
+    return True, None
 
 
-def _cmd_decompose(args, tol: ToleranceConfig, fmt: str) -> int:
-    u = read_sequence(args.file)
+def _decompose(u: Sequence, args, tol: ToleranceConfig):
     split = decompose(u)
-    report = _base_report("decompose", u, tol)
-    report["decomposition"] = {
-        "v": split.v.values,
-        "w": split.w.values,
-        "epsilon_star": split.epsilon_star,
-        "witnesses": _witnesses(split),
+    sections = {
+        "decomposition": {
+            "v": split.v.values,
+            "w": split.w.values,
+            "epsilon_star": split.epsilon_star,
+            "witnesses": _witnesses(split),
+        },
     }
     if args.out_v:
         write_sequence(args.out_v, split.v)
     if args.out_w:
         write_sequence(args.out_w, split.w)
-    _emit(report, fmt)
-    return EXIT_OK
+    return True, sections
 
 
-def _cmd_check_subadd(args, tol: ToleranceConfig, fmt: str) -> int:
-    u = read_sequence(args.file)
-    report = _base_report("check-subadd", u, tol)
-    report["classification"] = classify(u, tol).as_dict()
-    if args.eps is not None:
-        eps = check_epsilon(args.eps)
-        gap = epsilon_star(u)
-        ok = gap <= eps
-        report["subadditivity"] = {
-            "mode": "approx",
-            "ok": ok,
-            "violations": None,
-            "epsilon": eps,
-            "epsilon_star": gap,
-        }
-    else:
+def _check_subadd(u: Sequence, args, tol: ToleranceConfig):
+    classification = classify(u, tol).as_dict()
+    if args.eps is None:
         # ``ok`` precedes ``violations`` in the report: peek at the first
         # failing row, then stream it and the rest.
         rows = pairwise_violation_rows(u, tol)
@@ -465,27 +378,83 @@ def _cmd_check_subadd(args, tol: ToleranceConfig, fmt: str) -> int:
         violations = () if ok else _IntArrays(
             (([m], ns) for m, ns in itertools.chain([first], rows)), len(u) + 1
         )
-        report["subadditivity"] = {
-            "mode": "pairwise",
+        mode, eps, gap = "pairwise", None, None
+    else:
+        eps = check_epsilon(args.eps)
+        gap = epsilon_star(u)
+        ok = gap <= eps
+        mode, violations = "approx", None
+    return ok, {
+        "classification": classification,
+        "subadditivity": {
+            "mode": mode,
             "ok": ok,
             "violations": violations,
-            "epsilon": None,
-            "epsilon_star": None,
-        }
-    _emit(report, fmt)
-    return EXIT_OK if ok else EXIT_PROPERTY_FAILED
+            "epsilon": eps,
+            "epsilon_star": gap,
+        },
+    }
 
 
+# name -> (help, builder, options of its own).  A builder takes the input,
+# the parsed arguments and the tolerance, and returns ``(ok, sections)``:
+# the report sections that follow the base report, or None when it has
+# written its own output.  ``run_cli`` does the rest.
 _COMMANDS = {
-    "check-convex": _cmd_check_convex,
-    "support": _cmd_support,
-    "spline": _cmd_spline,
-    "lagrange": _cmd_lagrange,
-    "hull": _cmd_hull,
-    "epsilon": _cmd_epsilon,
-    "decompose": _cmd_decompose,
-    "check-subadd": _cmd_check_subadd,
+    "check-convex": ("certify or refute convexity", _check_convex, {}),
+    "support": ("support (subgradient) sequence", _support, {}),
+    "spline": ("local quadratic pieces and samples", _spline, {
+        "--samples": {"type": int, "default": 16, "help": "samples per unit interval (default 16)"},
+    }),
+    "lagrange": ("global interpolant coefficients", _lagrange, {}),
+    "hull": ("subadditive hull with witnesses", _hull, {}),
+    "epsilon": ("smallest eps for approximate subadditivity", _epsilon, {}),
+    "decompose": ("split into subadditive part plus remainder", _decompose, {
+        "--out-v": {"help": "write the subadditive part to this sequence file"},
+        "--out-w": {"help": "write the remainder to this sequence file"},
+    }),
+    "check-subadd": ("pairwise or approximate subadditivity test", _check_subadd, {
+        "--eps": {"type": float, "help": "test approximate subadditivity at this eps"},
+    }),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    # Shared options are declared on the main parser and on every subparser
+    # (with SUPPRESS defaults) so they are accepted in either position;
+    # ``run_cli`` supplies their defaults.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--abs-tol",
+        type=float,
+        default=argparse.SUPPRESS,
+        help="absolute slack for inequality checks (default 1e-9)",
+    )
+    common.add_argument(
+        "--rel-tol",
+        type=float,
+        default=argparse.SUPPRESS,
+        help="relative slack for inequality checks (default 1e-9)",
+    )
+    common.add_argument(
+        "--format",
+        choices=("json", "csv"),
+        default=argparse.SUPPRESS,
+        help="report style (default json)",
+    )
+
+    parser = _Parser(
+        prog="seqineq",
+        parents=[common],
+        description="Analyze a finite real sequence for convexity and subadditivity.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, (help_text, _, options) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.add_argument("file")
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+    return parser
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
@@ -496,21 +465,23 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 def run_cli(argv: list[str]) -> int:
     """Run one command line; returns the exit code instead of raising."""
     parser = _build_parser()
+    defaults = argparse.Namespace(
+        abs_tol=DEFAULT_TOLERANCE.abs_tol, rel_tol=DEFAULT_TOLERANCE.rel_tol, format="json"
+    )
     try:
-        args = parser.parse_args(argv)
-        tol = ToleranceConfig(
-            getattr(args, "abs_tol", DEFAULT_TOLERANCE.abs_tol),
-            getattr(args, "rel_tol", DEFAULT_TOLERANCE.rel_tol),
-        )
-        fmt = getattr(args, "format", "json")
+        args = parser.parse_args(argv, defaults)
+        tol = ToleranceConfig(args.abs_tol, args.rel_tol)
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            code = _COMMANDS[args.command](args, tol, fmt)
+            u = read_sequence(args.file)
+            ok, sections = _COMMANDS[args.command][1](u, args, tol)
+            if sections is not None:
+                _emit({**_base_report(args.command, u, tol), **sections}, args.format)
         # A closed stdout must show here, not in the exit-time flush.
         sys.stdout.flush()
-        return code
+        return EXIT_OK if ok else EXIT_PROPERTY_FAILED
     except SystemExit as exc:
-        # --help and --version exit through argparse with code 0.
+        # --help exits through argparse with code 0.
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     except BrokenPipeError:
         # The reader has gone (``| head``).  As the ``signal`` docs advise,

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import DEFAULT_TOLERANCE, PURE_ROWS_MAX_N, Sequence, ToleranceConfig
+from .core import DEFAULT_TOLERANCE, PURE_ROWS_MAX_N, Sequence, ToleranceConfig, defining_sides
 
 
 @dataclass(frozen=True)
@@ -98,12 +98,20 @@ class ConvexityCertificate:
 def check_defining_inequality(
     u: Sequence, tol: ToleranceConfig = DEFAULT_TOLERANCE
 ) -> ConvexityReport:
-    """Check ``2*u[n] <= u[n-1] + u[n+1]`` at every interior index."""
+    """Check ``2*u[n] <= u[n-1] + u[n+1]`` at every interior index.
+
+    A side, or the defect of a violation, that overflows is raised as a
+    ``ValueError`` naming ``u[n-1..n+1]`` (see :func:`~seqineq.core.defining_sides`).
+    """
     v = u.values
     violations = []
-    for k in range(1, len(v) - 1):
-        if not tol.leq(2.0 * v[k], v[k - 1] + v[k + 1]):
-            violations.append((u.start_index + k, 2.0 * v[k] - v[k - 1] - v[k + 1]))
+    for k, (twice, outer) in enumerate(defining_sides(u), 1):
+        if not tol.leq(twice, outer):
+            defect = twice - v[k - 1] - v[k + 1]
+            n = u.start_index + k
+            if math.isinf(defect):
+                raise ValueError(f"second difference of u[{n - 1}..{n + 1}] overflows")
+            violations.append((n, defect))
     return ConvexityReport(not violations, tuple(violations))
 
 

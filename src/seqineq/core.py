@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Iterator
 
 # The O(N^2) kernels (verify_support, subadditive_hull,
-# is_subadditive_pairwise) run pure-Python rows on inputs of at most this
+# pairwise_violation_rows) run pure-Python rows on inputs of at most this
 # many entries and numpy rows on longer ones, with bit-identical results.
 # Importing numpy takes about 100 ms on a 2-vCPU VM.  verify_support, the
 # slowest kernel per cell, takes about 60 ms of pure rows at N = 256 and
@@ -214,12 +215,34 @@ def mediant_bounds(a: Iterable[float], b: Iterable[float]) -> MediantReport:
     return MediantReport(min(ratios), sum(av) / sum(bv), max(ratios))
 
 
+def defining_sides(u: Sequence) -> list[tuple[float, float]]:
+    """Both sides ``(2*u[n], u[n-1] + u[n+1])`` of the defining inequality of convexity.
+
+    One pair per interior index n, in order.  A side that overflows is
+    raised as a ``ValueError`` naming the first such ``u[n-1..n+1]``, as
+    :func:`second_differences` does: an infinite side makes the slack
+    infinite, so no verdict drawn from it would mean anything.
+    """
+    v = u.values
+    twice = [2.0 * x for x in v[1:-1]]
+    outer = list(map(add, v, v[2:]))
+    if any(map(math.isinf, twice)) or any(map(math.isinf, outer)):
+        k = next(k for k, (a, b) in enumerate(zip(twice, outer)) if math.isinf(a) or math.isinf(b))
+        n = u.start_index + k
+        raise ValueError(f"second difference of u[{n}..{n + 2}] overflows")
+    return list(zip(twice, outer))
+
+
 def classify(u: Sequence, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> ClassificationFlags:
     """Shape flags, each decided within tolerance.
 
-    ``convex``/``concave`` test the signs of the second differences, so they
-    are vacuously true for sequences shorter than 3; the monotonicity flags
-    are vacuously true for singletons.  A nonnegative decreasing sequence
+    ``convex`` makes the comparisons of the defining inequality,
+    ``tol.leq(2*u[n], u[n-1] + u[n+1])`` at every interior n, and
+    ``concave`` the reverse ones, so ``convex`` is the verdict of
+    :func:`~seqineq.convexity.check_defining_inequality` under the same
+    tolerance, and an overflowing side raises the same error.  Both are
+    vacuously true for sequences shorter than 3; the monotonicity flags are
+    vacuously true for singletons.  A nonnegative decreasing sequence
     anchored at 1 is always pairwise subadditive, and differences of a
     concave increasing nonnegative sequence are decreasing and nonnegative;
     these flags are the hypotheses of those bridges.
@@ -228,10 +251,7 @@ def classify(u: Sequence, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Classific
     nonnegative = all(tol.leq(0.0, x) for x in v)
     increasing = all(tol.leq(x, y) for x, y in zip(v, v[1:]))
     decreasing = all(tol.leq(y, x) for x, y in zip(v, v[1:]))
-    if len(v) < 3:
-        convex = concave = True
-    else:
-        seconds = second_differences(u).values
-        convex = all(tol.leq(0.0, s) for s in seconds)
-        concave = all(tol.leq(s, 0.0) for s in seconds)
+    sides = defining_sides(u)
+    convex = all(tol.leq(twice, outer) for twice, outer in sides)
+    concave = all(tol.leq(outer, twice) for twice, outer in sides)
     return ClassificationFlags(nonnegative, increasing, decreasing, convex, concave)

@@ -317,7 +317,7 @@ def compose(
     _require_base1(w)
     if len(v) != len(w):
         raise ValueError("v and w must have the same length")
-    if not is_subadditive_pairwise(v, tol).ok:
+    if next(pairwise_violation_rows(v, tol), None) is not None:
         raise ValueError("v not subadditive")
     if not all(tol.leq(0.0, x) for x in w.values):
         raise ValueError("w not nonnegative")

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -262,6 +263,20 @@ def test_error_exits_with_one_line_diagnostic(tmp_path, capsys):
 
 
 HULL_OVERFLOW = "subadditive hull overflows at n=4: v[4] = -inf, w[4] = inf"
+SUPPORT_CHECK_OVERFLOW = (
+    "support check overflows at (m, n) = (2, 0): u[0] - u[2] = -inf, "
+    "v[0] = 1.7e+308, v[0] * (0 - 2) = -inf"
+)
+PEAK_OVERFLOW = "second difference of u[0..2] overflows"
+# The input of each case, by its message; the others read ALTERNATING.
+OVERFLOW_INPUTS = {
+    # Linear, so the defining and slope legs pass; the support pair
+    # (2, 0) compares -inf with -inf plus an infinite slack.
+    SUPPORT_CHECK_OVERFLOW: "# start_index=0\n-1.7e308\n0\n1.7e308\n",
+    # 2 * u[1] overflows; its infinite slack would pass the defining leg.
+    PEAK_OVERFLOW: "# start_index=0\n0\n1.7e308\n0\n",
+}
+ALTERNATING = "1.7e308\n-1.7e308\n1.7e308\n-1.7e308\n"
 
 
 @pytest.mark.parametrize(
@@ -275,26 +290,27 @@ HULL_OVERFLOW = "subadditive hull overflows at n=4: v[4] = -inf, w[4] = inf"
         (["check-subadd", "--eps", "1"], "second difference of u[1..3] overflows"),
         (["spline"], "quadratic piece at n=2 overflows"),
         (["spline", "--format", "csv"], "quadratic piece at n=2 overflows"),
-        (
-            ["check-convex"],
-            "support check overflows at (m, n) = (2, 0): u[0] - u[2] = -inf, "
-            "v[0] = 1.7e+308, v[0] * (0 - 2) = -inf",
-        ),
+        (["check-convex"], SUPPORT_CHECK_OVERFLOW),
         (["support"], "support sequence overflows at n=1: u[2] - u[1] = -inf"),
+        (["check-convex"], PEAK_OVERFLOW),
     ],
 )
 def test_overflow_is_named_on_finite_input(tmp_path, capsys, argv, message):
-    if argv[0] == "check-convex":
-        # Linear, so the defining and slope legs pass; the support pair
-        # (2, 0) compares -inf with -inf plus an infinite slack.
-        text = "# start_index=0\n-1.7e308\n0\n1.7e308\n"
-    else:
-        text = "1.7e308\n-1.7e308\n1.7e308\n-1.7e308\n"
-    path = _write(tmp_path, "big.csv", text)
+    path = _write(tmp_path, "big.csv", OVERFLOW_INPUTS.get(message, ALTERNATING))
     assert run_cli([argv[0], path, *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_classification_agrees_with_the_defining_leg(tmp_path, capsys):
+    # 2 * u[1] exceeds u[0] + u[2] by 1e-4, within the relative slack of
+    # 2e6, while the second difference -1e-4 is beyond the absolute one.
+    path = _write(tmp_path, "edge.csv", "# start_index=0\n0\n1000000\n1999999.9999\n")
+    assert run_cli(["check-convex", path]) == 0
+    report = _report(capsys)
+    assert report["convexity"]["is_convex"] is True
+    assert report["classification"]["convex"] is True
 
 
 def test_overflowing_chords_leave_support_finite(tmp_path, capsys):
@@ -326,6 +342,41 @@ def test_support_on_singleton_is_an_input_error(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert run_cli(["--help"]) == 0
     capsys.readouterr()
+
+
+SHARED_OPTIONS = {"--help", "--abs-tol", "--rel-tol", "--format"}
+OWN_OPTIONS = {
+    "check-convex": set(),
+    "support": set(),
+    "spline": {"--samples"},
+    "lagrange": set(),
+    "hull": set(),
+    "epsilon": set(),
+    "decompose": {"--out-v", "--out-w"},
+    "check-subadd": {"--eps"},
+}
+
+
+@pytest.mark.parametrize("command", [None, *OWN_OPTIONS])
+def test_help_lists_exactly_the_options_of_its_command(capsys, command):
+    assert run_cli(["--help"] if command is None else [command, "--help"]) == 0
+    out = capsys.readouterr().out
+    options = set(re.findall(r"--[a-z][a-z-]*", out))
+    assert options == SHARED_OPTIONS | OWN_OPTIONS.get(command, set())
+    if command is None:
+        assert all(name in out for name in OWN_OPTIONS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["hull", "--samples", "3"], ["support", "--eps", "1"], ["spline", "--out-v", "x"]],
+)
+def test_an_option_of_another_command_is_refused(tmp_path, capsys, argv):
+    path = _write(tmp_path, "u.csv", "1\n2\n4\n")
+    assert run_cli([argv[0], path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unrecognized arguments: {' '.join(argv[1:])}\n"
 
 
 def test_closed_stdout_exits_141_with_empty_stderr(tmp_path):

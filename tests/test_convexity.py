@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corpus import convex_values, nonincreasing_difference_values
 from seqineq import (
@@ -35,6 +38,49 @@ def test_defining_inequality_examples():
     assert check_defining_inequality(Sequence((7, 7, 7), 1)).is_convex
     # fewer than three points: no interior index, vacuously convex
     assert check_defining_inequality(Sequence((3, -5), 0)).is_convex
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        (0, 1.7e308, 0),  # 2 * u[1] overflows; its infinite slack would pass
+        (-1e308, 1e308, -1e308),  # 2 * u[1] overflows in a violation
+        (-1e308, 8e307, 1e308),  # both sides finite, the defect is not
+    ],
+)
+def test_defining_inequality_names_overflow(values):
+    with pytest.raises(ValueError, match=r"^second difference of u\[0\.\.2\] overflows$"):
+        check_defining_inequality(Sequence(values, 0))
+
+
+def _defining_verdict(u: Sequence) -> bool:
+    try:
+        return check_defining_inequality(u).is_convex
+    except ValueError:
+        # With both sides finite, only a violation's defect can overflow.
+        return False
+
+
+magnitudes = st.floats(min_value=1e-300, max_value=1.7976931348623157e308)
+entries = st.integers(-50, 50).map(float) | st.tuples(st.booleans(), magnitudes).map(
+    lambda t: -t[1] if t[0] else t[1]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(entries, min_size=1, max_size=12))
+@example(values=[0.0, 1000000.0, 1999999.9999])
+@example(values=[0.0, 1.7e308, 0.0])
+def test_classify_makes_the_defining_comparisons(values):
+    u = Sequence(values, 0)
+    try:
+        flags = classify(u)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            check_defining_inequality(u)
+        return
+    assert flags.convex == _defining_verdict(u)
+    assert flags.concave == _defining_verdict(Sequence([-x for x in values], 0))
 
 
 def test_slope_examples():

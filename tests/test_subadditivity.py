@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -254,6 +255,24 @@ def test_compose_checks_its_hypotheses():
         compose(good_v, Sequence((0.0,)))
     with pytest.raises(ValueError, match="index base 1"):
         compose(Sequence((1.0, 2.0), 0), Sequence((0.0, 0.0), 0))
+
+
+def test_compose_stops_at_the_first_failing_row():
+    # numpy is loaded before tracing starts: its import is not the check's memory.
+    import numpy  # noqa: F401
+
+    rng = random.Random(2000)
+    v = Sequence(tuple(rng.randint(0, 1000) for _ in range(2000)), 1)
+    w = Sequence((0.0,) * 2000, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="v not subadditive"):
+            compose(v, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Listing every violating pair of v would take over 10 MB.
+    assert peak < 1_000_000, peak
 
 
 def test_decompose_compose_round_trip():
