@@ -43,15 +43,24 @@ memory stays O(N) plus one row whatever the size of the report.  ``hull``
 and ``decompose`` check the order of every witness from the parent pointers
 before writing anything.
 
-numpy is imported only by the three O(N^2) kernels (support verification,
-subadditive hull, pairwise check) on inputs longer than
-``PURE_ROWS_MAX_N`` (256) entries, and by ``lagrange`` above degree 3.
-Shorter inputs run the kernels as pure-Python rows, which at N = 256 cost
-less than the roughly 100 ms that importing numpy takes (the fresh-process
-crossover lies between N = 384 and 512); ``--help``, ``spline`` and input
-refusals never load it.  The support sequence is linear, so ``support``
-never loads numpy, and ``check-convex`` loads it only for a support row
-that the lower convex hull does not certify.
+numpy is imported only by the three O(N^2) kernels, each by its own rule,
+and by ``lagrange`` above degree 3; ``--help``, ``spline`` and input
+refusals never load it.  Importing it takes roughly 100 ms.
+
+* The pairwise check (``check-subadd`` without ``--eps``) runs pure-Python
+  rows up to ``PURE_ROWS_MAX_N`` (256) entries and numpy rows above, since
+  at N = 256 pure rows cost less than the import.
+* The subadditive hull (``hull``, ``decompose``, ``epsilon`` and
+  ``check-subadd --eps``) scans candidate splits in pure Python, only the
+  generators on integer input whose sums are exact, and switches to numpy
+  rows once the work left exceeds ``HULL_PURE_CELLS`` split sums.  Integer
+  inputs with few generators, such as convex or random ones, never load
+  numpy at N = 2000; a concave increasing one, where every index is a
+  generator, loads it above about N = 1100.
+* Support verification: the support sequence is linear, so ``support``
+  never loads numpy, and ``check-convex`` runs the first support row that
+  the lower convex hull does not certify in pure Python and loads numpy
+  only for a second such row on inputs above ``PURE_ROWS_MAX_N`` entries.
 """
 
 from __future__ import annotations

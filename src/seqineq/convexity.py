@@ -271,29 +271,38 @@ def _row_certifier(u: Sequence, tol: ToleranceConfig):
     return certified
 
 
-def _row_test(u: Sequence, tol: ToleranceConfig):
+def _pure_row_test(u: Sequence, tol: ToleranceConfig):
     """Return ``failing(n, vn)``, the m in increasing order whose pair (m, n) fails.
 
-    Pure-Python rows when ``len(u) <= PURE_ROWS_MAX_N``, numpy rows above
-    it, with equal verdicts.
+    Each row is a pure-Python list.
     """
     vals = u.values
     base = u.start_index
-    if len(vals) > PURE_ROWS_MAX_N:
-        import numpy as np
 
-        arr = np.array(vals)
-        ms = np.arange(float(base), u.last_index + 1)
+    def failing(n: int, vn: float) -> list[int]:
+        un = u[n]
+        return [m for m, x in enumerate(vals, base) if not tol.leq(un - x, vn * (n - m))]
 
-        def failing(n: int, vn: float) -> list[int]:
-            with np.errstate(over="ignore", invalid="ignore"):
-                ok = tol.leq_mask(u[n] - arr, vn * (n - ms))
-            return (np.flatnonzero(~ok) + base).tolist()
-    else:
+    return failing
 
-        def failing(n: int, vn: float) -> list[int]:
-            un = u[n]
-            return [m for m, x in enumerate(vals, base) if not tol.leq(un - x, vn * (n - m))]
+
+def _row_test(u: Sequence, tol: ToleranceConfig):
+    """``_pure_row_test`` when ``len(u) <= PURE_ROWS_MAX_N``; numpy rows above it.
+
+    Both return the same lists.
+    """
+    if len(u) <= PURE_ROWS_MAX_N:
+        return _pure_row_test(u, tol)
+    import numpy as np
+
+    arr = np.array(u.values)
+    base = u.start_index
+    ms = np.arange(float(base), u.last_index + 1)
+
+    def failing(n: int, vn: float) -> list[int]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok = tol.leq_mask(u[n] - arr, vn * (n - ms))
+        return (np.flatnonzero(~ok) + base).tolist()
 
     return failing
 
@@ -305,17 +314,23 @@ def _failing_support_pairs(
 
     Pairs come row by row in window order, m increasing within a row.  A row
     that ``_row_certifier`` proves to pass is skipped; every other row runs
-    in full through ``_row_test``, which is built at the first such row, so
-    an input whose rows are all certified never loads numpy.
+    in full.  The first such row is a pure-Python row: it often fails, which
+    ends a caller that wants only the first pair, and a pure row costs less
+    than importing numpy.  ``_row_test`` is built at the second, so an input
+    with at most one uncertified row never loads numpy.
     """
     certified = _row_certifier(u, tol)
-    failing = None
-    for n, vn in enumerate(map(float, s.values), s.first_index):
-        if not certified(n, vn):
-            if failing is None:
-                failing = _row_test(u, tol)
-            for m in failing(n, vn):
-                yield m, n
+    rows = (
+        (n, vn)
+        for n, vn in enumerate(map(float, s.values), s.first_index)
+        if not certified(n, vn)
+    )
+    failing = _pure_row_test(u, tol)
+    for k, (n, vn) in enumerate(rows):
+        if k == 1:
+            failing = _row_test(u, tol)
+        for m in failing(n, vn):
+            yield m, n
 
 
 def _monotonicity_violations(s: SupportSequence, tol: ToleranceConfig) -> list[tuple[int, int]]:
@@ -341,10 +356,11 @@ def verify_support(
     Each window index n is one row of comparisons over m.  A row that the
     lower convex hull of u proves to pass is skipped (see
     ``_row_certifier``; it needs ``rel_tol >= 2**-50``).  Every other row
-    runs in full: pure-Python rows when ``len(u) <= PURE_ROWS_MAX_N``, numpy
-    rows above it, with equal verdicts.  So the lists are those of the full
-    O(N^2) scan, and only the rows that are not certified, such as failing
-    ones, cost O(N) each.
+    runs in full: the first as a pure-Python row, the rest as pure-Python
+    rows when ``len(u) <= PURE_ROWS_MAX_N`` and numpy rows above it, with
+    equal verdicts.  So the lists are those of the full O(N^2) scan, and
+    only the rows that are not certified, such as failing ones, cost O(N)
+    each.
     """
     if not (u.start_index <= s.first_index and s.last_index <= u.last_index):
         raise ValueError("support window outside sequence range")

@@ -17,13 +17,15 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Iterator
 
-# The O(N^2) kernels (verify_support, subadditive_hull,
-# pairwise_violation_rows) run pure-Python rows on inputs of at most this
-# many entries and numpy rows on longer ones, with bit-identical results.
-# Importing numpy takes about 100 ms on a 2-vCPU VM.  verify_support, the
-# slowest kernel per cell, takes about 60 ms of pure rows at N = 256 and
-# reaches the import's cost between N = 384 and 512 in a fresh process, so
-# up to this length every kernel is cheaper without numpy.
+# The O(N^2) kernels verify_support and pairwise_violation_rows run
+# pure-Python rows on inputs of at most this many entries and numpy rows on
+# longer ones, with bit-identical results (verify_support runs its first
+# uncertified row in pure Python whatever the length).  Importing numpy takes
+# about 100 ms on a 2-vCPU VM.  verify_support, the slowest kernel per cell,
+# takes about 60 ms of pure rows at N = 256 and reaches the import's cost
+# between N = 384 and 512 in a fresh process, so up to this length both
+# kernels are cheaper without numpy.  subadditive_hull does not use this
+# cutoff: it switches by the work left (subadditivity.HULL_PURE_CELLS).
 PURE_ROWS_MAX_N = 256
 
 

@@ -14,9 +14,12 @@ O(N), so no caller has to expand the O(N^2) parts to learn whether they are
 valid.  The pairwise test ``u[m+n] <= u[m] + u[n]`` has one row generator,
 ``pairwise_violation_rows``, which yields each failing row in turn; the
 ``PairwiseCheck`` is built from it, and a caller that streams the rows holds
-one row at a time.  The rows, here and in the pairwise check, are
-pure-Python lists up to ``PURE_ROWS_MAX_N`` entries (so short inputs never
-import numpy) and numpy arrays above it, with bit-identical results.
+one row at a time.  The pairwise rows are pure-Python lists up to
+``PURE_ROWS_MAX_N`` entries (so short inputs never import numpy) and numpy
+arrays above it.  The hull rows are pure-Python scans over a list of
+candidate splits, only the generators when every sum is exact, until the
+work left exceeds ``HULL_PURE_CELLS`` split sums, and numpy rows over every
+split after that.  Both choices give bit-identical results.
 The gap ``epsilon_star = max(u[n] - v[n])`` is the smallest eps for which u
 is eps-approximately subadditive, and ``u = v + w`` with ``0 <= w <= eps``
 splits any approximately subadditive sequence into an exactly subadditive
@@ -27,16 +30,26 @@ can be compared exactly on integer inputs.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import add
 from typing import Iterator
 
 from .core import DEFAULT_TOLERANCE, PURE_ROWS_MAX_N, Sequence, ToleranceConfig
 
 ORACLE_MAX_N = 30
+
+# subadditive_hull runs pure-Python rows while the split sums it still has
+# to form number at most this many, and numpy rows after that (see
+# ``_pure_rows``).  On a 2-vCPU VM a pure split sum costs about 115 ns and
+# importing numpy about 100 ms, the price of some 9e5 sums.  The count
+# checked is a lower bound that an input whose every index is a generator
+# (a strictly concave increasing u) can exceed severalfold, and the most
+# pure work that can run without a switch is about twice the budget (every
+# index a generator at N = 2 * sqrt(budget)): 6e5 sums, some 70 ms, less
+# than the import.  In a fresh process ``epsilon`` on such an input costs
+# the same either way near N = 1500, or 1.1e6 sums.
+HULL_PURE_CELLS = 300_000
 
 
 @dataclass(frozen=True)
@@ -159,6 +172,81 @@ def hull_bruteforce(u: Sequence, n: int) -> float:
     return min(sum(vals[p - 1] for p in parts) for parts in _partition_tuples(n))
 
 
+def _settle(n: int, un: float, part: int, best: float) -> tuple[int, float]:
+    """Row n's parent pointer and hull value from its first best split ``(part, best)``.
+
+    A split that ties with u[n] is the witness, but v[n] keeps the bits of u[n].
+    """
+    if best > un:
+        return n, un
+    return part, best if best < un else un
+
+
+def _pure_rows(vals: tuple[float, ...], v: list[float], last_part: list[int]) -> int:
+    """Fill hull rows 1, 2, ... of ``v`` and ``last_part``; return the first row not filled.
+
+    Row n scans the split sums ``u[j] + v[n - j]`` over a list of candidate
+    parts j < n.  When every sum is exact (below), the candidates are the
+    generators, the j with ``last_part[j - 1] == j``: if ``last_part[j - 1]
+    = k < j``, then, since v is subadditive,
+
+        u[k] + v[n-k] <= u[k] + v[j-k] + v[n-j] = v[j] + v[n-j] <= u[j] + v[n-j],
+
+    the smaller k does at least as well, and j is never the first minimiser.
+    The first minimiser over the generators is then the first over all j,
+    with the same bits.  On any other input every j < n is a candidate: in
+    floats a rounded sum can undercut the split it was built from.
+
+    The candidate list only grows, so before row n the rows left cost at
+    least ``len(candidates) * (N - n + 1)`` split sums; once that exceeds
+    ``HULL_PURE_CELLS`` this returns n and the numpy rows take over.
+    """
+    size = len(vals)
+    # A partition sum of m <= N has at most m parts: on integer-valued input
+    # with N * max|u| < 2**53, every sum the DP forms is an exact integer.
+    # (sum(|u|) < 2**53 is not enough, since a part can repeat.)
+    exact = all(map(float.is_integer, vals)) and size * max(map(abs, vals)) < 2.0**53
+    parts: list[int] = []
+    heads: list[float] = []  # u[j] for each candidate j
+    for n, un in enumerate(vals, 1):
+        if len(parts) * (size - n + 1) > HULL_PURE_CELLS:
+            return n
+        part, best = n, math.inf
+        if parts:
+            row = [x + v[n - j] for j, x in zip(parts, heads)]
+            # ``min`` keeps the first minimiser with its own bits, as a
+            # strict ``<`` scan would, and ``index`` finds that same entry.
+            best = min(row)
+            part = parts[row.index(best)]
+        part, v[n] = _settle(n, un, part, best)
+        last_part.append(part)
+        if part == n or not exact:
+            parts.append(n)
+            heads.append(un)
+    return size + 1
+
+
+def _numpy_rows(
+    vals: tuple[float, ...], v: list[float], last_part: list[int], start: int
+) -> list[float]:
+    """Fill hull rows ``start``, ..., N (``start >= 2``) as numpy rows over every j; return v.
+
+    ``argmin`` returns the first minimiser with its own bits, the one the
+    pure rows find, so switching at any row leaves every bit unchanged.
+    """
+    import numpy as np
+
+    arr = np.array(vals)
+    va = np.array(v)
+    with np.errstate(over="ignore"):
+        for n in range(start, len(vals) + 1):
+            row = arr[: n - 1] + va[n - 1 : 0 : -1]
+            j = int(row.argmin())
+            part, va[n] = _settle(n, vals[n - 1], j + 1, row.item(j))
+            last_part.append(part)
+    return va.tolist()
+
+
 def subadditive_hull(u: Sequence) -> HullResult:
     """Largest subadditive sequence below u, in one pass with parent pointers.
 
@@ -169,6 +257,14 @@ def subadditive_hull(u: Sequence) -> HullResult:
     Tie rule: a split that ties with u[n] is the witness, but v[n] keeps
     the bits of u[n] (``-0.0`` stays ``-0.0``).
 
+    Rows run as pure-Python scans over candidate splits (``_pure_rows``): on
+    integer-valued input with ``N * max|u| < 2**53`` only the generators,
+    the j with ``last_part[j - 1] == j``, are candidates, so the row costs
+    O(number of generators); on other input every j is.  Once the work left
+    exceeds ``HULL_PURE_CELLS`` split sums, numpy rows over every j finish
+    the pass.  So an input with few generators, such as k**2 - 3k (one) or
+    random integers (a few dozen at N = 2000), never loads numpy.
+
     >>> hull = subadditive_hull(Sequence((1.0, 3.0, 2.0)))
     >>> hull.v.values
     (1.0, 2.0, 2.0)
@@ -177,40 +273,12 @@ def subadditive_hull(u: Sequence) -> HullResult:
     """
     _require_base1(u)
     vals = u.values
-    if len(vals) > PURE_ROWS_MAX_N:
-        import numpy as np
-
-        arr = np.array(vals)
-        v = np.zeros(len(vals) + 1)  # 1-based; v[0] unused
-        quiet = np.errstate(over="ignore")
-
-        def row_min(n: int) -> tuple[int, float]:
-            row = arr[: n - 1] + v[n - 1 : 0 : -1]
-            j = int(row.argmin())
-            return j, row.item(j)
-    else:
-        v = [0.0] * (len(vals) + 1)
-        quiet = contextlib.nullcontext()
-
-        def row_min(n: int) -> tuple[int, float]:
-            row = list(map(add, vals[: n - 1], v[n - 1 : 0 : -1]))
-            best = min(row)
-            return row.index(best), best
-
-    last_part = []
-    # Row n holds every split sum u[j] + v[n - j]; ``row_min`` returns the
-    # first minimizer with its own bits, as a strict ``<`` scan would.
-    with quiet:
-        for n, un in enumerate(vals, 1):
-            best, part = math.inf, n
-            if n > 1:
-                j, best = row_min(n)
-                part = j + 1
-            if best > un:
-                part = n
-            v[n] = best if best < un else un
-            last_part.append(part)
-    v_vals = tuple(map(float, v[1:]))
+    v = [0.0] * (len(vals) + 1)  # 1-based; v[0] unused
+    last_part: list[int] = []
+    start = _pure_rows(vals, v, last_part)
+    if start <= len(vals):
+        v = _numpy_rows(vals, v, last_part, start)
+    v_vals = tuple(v[1:])
     w = tuple(a - b for a, b in zip(u.values, v_vals))
     for n, (vn, wn) in enumerate(zip(v_vals, w), 1):
         # v[n] is finite or -inf (a split sum overflowed); w = u - v is

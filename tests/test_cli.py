@@ -411,10 +411,10 @@ for path in (seq, at_cutoff):
     for command in ("check-convex", "support", "hull", "epsilon", "decompose", "check-subadd"):
         codes.append(run_cli([command, path]))
     codes.append(run_cli(["check-subadd", path, "--eps", "1"]))
-codes.append(run_cli(["check-convex", above_cutoff]))
-codes.append(run_cli(["support", above_cutoff]))
+for command in ("check-convex", "support", "hull"):
+    codes.append(run_cli([command, above_cutoff]))
 before = "numpy" in sys.modules
-codes.append(run_cli(["hull", above_cutoff]))
+codes.append(run_cli(["check-subadd", above_cutoff]))
 sys.__stdout__.write(json.dumps([codes, before, "numpy" in sys.modules]))
 """
 
@@ -435,12 +435,45 @@ def test_startup_help_spline_and_refusals_do_not_load_numpy(tmp_path):
     # check-convex, support, hull, epsilon, decompose, check-subadd, --eps 1
     kernels_on_seq = [1, 0, 0, 0, 0, 1, 1]
     kernels_on_squares = [0, 0, 0, 0, 0, 1, 1]
-    assert codes == [0, 0, 0, 2, 2, 2, 2, 2] + kernels_on_seq + kernels_on_squares + [0, 0, 0]
+    assert codes == [0, 0, 0, 2, 2, 2, 2, 2] + kernels_on_seq + kernels_on_squares + [0, 0, 0, 1]
     # --help, spline, every refusal, every kernel on up to PURE_ROWS_MAX_N
-    # entries, and check-convex and support on a convex input above it ran
-    # without numpy
+    # entries, and check-convex, support and hull on a convex input above it
+    # ran without numpy: the hull's only generator there is 1
     assert not before
-    assert after  # the hull kernel loads it one entry above the cutoff
+    assert after  # the pairwise kernel loads it one entry above the cutoff
+
+
+NO_NUMPY_PROBE = """
+import io, json, sys
+from seqineq.cli import run_cli
+out_dir, *paths = sys.argv[1:]
+sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+codes = []
+for path in paths:
+    codes.append(run_cli(["hull", path]))
+    codes.append(run_cli(["decompose", path, "--out-v", out_dir + "/v.csv", "--out-w", out_dir + "/w.csv"]))
+    codes.append(run_cli(["epsilon", path]))
+    codes.append(run_cli(["check-subadd", path, "--eps", "1"]))
+sys.__stdout__.write(json.dumps([codes, "numpy" in sys.modules]))
+"""
+
+
+def test_hull_commands_on_few_generators_do_not_load_numpy(tmp_path):
+    # Base-1 inputs of 2000 entries, far above PURE_ROWS_MAX_N.  The hull
+    # scans only its generators, the j with last_part[j - 1] == j: one on
+    # k^2 - 3k, a few dozen on random integers.
+    rng = random.Random("few-generators")
+    convex = [k * k - 3 * k for k in range(1, 2001)]
+    noise = [rng.randint(0, 1000) for _ in range(2000)]
+    files = [_write(tmp_path, f"{name}.csv", "".join(f"{x}\n" for x in values))
+             for name, values in (("convex", convex), ("noise", noise))]
+    proc = _python("-c", NO_NUMPY_PROBE, str(tmp_path), *files, stdout=subprocess.PIPE, text=True)
+    out, _ = proc.communicate(timeout=120)
+    codes, loaded = json.loads(out)
+    # hull, decompose, epsilon, check-subadd --eps 1: neither input is
+    # 1-approximately subadditive
+    assert codes == [0, 0, 0, 1] * 2
+    assert not loaded
 
 
 # ------------------------------------------------------------- global options

@@ -3,13 +3,16 @@
 The three O(N^2) kernels (``verify_support``, ``subadditive_hull`` and
 ``is_subadditive_pairwise``) compute one row at a time: pure-Python rows for
 inputs of at most ``PURE_ROWS_MAX_N`` entries, numpy rows above it.  The
+hull instead starts with pure rows over a list of candidate splits and
+switches to numpy rows once the work left exceeds ``HULL_PURE_CELLS``.  The
 ``_reference_*`` functions below are the scalar double loops the package
 used before its kernels were written as rows.  They are kept here, and only
 here, as oracles: values, witnesses and violation lists must match them bit
 for bit (compared through ``repr``), including signed zeros, floats across
 many magnitudes and sums that overflow to infinity.  Every comparison runs
 on both paths, by moving the cutoff below or above the input length, and
-the two paths must agree at the real cutoff and one entry above it.
+the two paths must agree at the real cutoff and one entry above it.  The
+hull is also compared with a small budget that switches paths mid-DP.
 
 ``support_sequence`` is one linear pass over the adjacent steps and never
 loads numpy.  Its oracle is exact: the least slope over all pairs at or
@@ -58,11 +61,19 @@ from seqineq.core import PURE_ROWS_MAX_N
 TOLERANCES = (ToleranceConfig(), ToleranceConfig(abs_tol=0.0, rel_tol=0.0))
 NUMPY_ROWS = 0  # cutoff below every length: every kernel runs numpy rows
 PURE_ROWS = 10**9  # cutoff above every length: every kernel runs pure rows
+SWITCH_ROWS = 20  # the hull switches to numpy rows partway through most inputs
+CUTOFFS = (NUMPY_ROWS, SWITCH_ROWS, PURE_ROWS)
 
 
 def _set_cutoff(monkeypatch, cutoff: int) -> None:
+    """Set ``PURE_ROWS_MAX_N`` and the hull's ``HULL_PURE_CELLS`` to ``cutoff``.
+
+    A hull budget of 0 runs numpy rows from row 2 on, and a budget above
+    ``len(u)**2`` runs pure rows only.
+    """
     for module in (convexity, subadditivity):
         monkeypatch.setattr(module, "PURE_ROWS_MAX_N", cutoff)
+    monkeypatch.setattr(subadditivity, "HULL_PURE_CELLS", cutoff)
 
 
 # ------------------------------------------------------------------ oracles
@@ -289,7 +300,7 @@ def test_support_is_the_least_step_not_a_rounded_chord():
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_subadditivity_kernels_match_reference(family, monkeypatch):
-    for cutoff in (NUMPY_ROWS, PURE_ROWS):
+    for cutoff in CUTOFFS:
         _set_cutoff(monkeypatch, cutoff)
         for _, values, _ in _cases(family):
             u = Sequence(values, 1)
@@ -298,6 +309,54 @@ def test_subadditivity_kernels_match_reference(family, monkeypatch):
                 assert repr(is_subadditive_pairwise(u, tol).violations) == repr(
                     _reference_pairwise(u, tol)
                 )
+
+
+def _check_hull_on_every_path(u: Sequence) -> None:
+    expected = _outcome(_reference_hull, u)
+    with pytest.MonkeyPatch.context() as mp:
+        for cutoff in CUTOFFS:
+            _set_cutoff(mp, cutoff)
+            assert _outcome(_hull_fields, u) == expected
+
+
+@st.composite
+def integer_valued_inputs(draw):
+    """Integer-valued floats, some where exact sums stop being guaranteed.
+
+    On such input the pure rows scan only the generators as long as ``N *
+    max|u| < 2**53``; the "huge" kind puts ``N * max|u|`` or ``sum(|u|)``
+    right at 2**53.
+    """
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(("ints", "pool", "huge")))
+    if kind == "ints":
+        values = draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n))
+    elif kind == "pool":
+        # Few distinct values, so that split sums tie often.
+        values = draw(st.lists(st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.0, 3.0)), min_size=n, max_size=n))
+    else:
+        top = 2**53 // draw(st.sampled_from((n, 1, 2)))
+        big = st.builds(lambda x, sign: sign * x, st.integers(top - 4, top + 4), st.sampled_from((-1, 1)))
+        values = draw(st.lists(st.one_of(st.integers(-3, 3), st.just(-0.0), big), min_size=n, max_size=n))
+    return Sequence(values, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=integer_valued_inputs())
+def test_hull_matches_reference_on_integer_valued_input(u):
+    _check_hull_on_every_path(u)
+
+
+@pytest.mark.parametrize("values", [
+    # sum(|u|) < 2**53, but a part can repeat: v[7] = u[1] + 2 * u[3] =
+    # -(2**53 + 1) rounds to -2**53, and the first minimiser of row 8 is
+    # j = 2, which is not a generator (last_part[1] == 1).
+    (1.0, 2.0, -4503599627370497.0, 0.0, -3.0, -3.0, -3.0, -3.0, 3.0),
+    # One decimal: in floats a generator-only scan gives another last_part.
+    (0.3, 0.4, 0.7, 0.2, 0.7, 1.1, 1.1, 0.3, 1.1, 0.3, 0.2, 0.3, 1.1),
+])
+def test_hull_scans_every_split_where_sums_round(values):
+    _check_hull_on_every_path(Sequence(values, 1))
 
 
 def _all_kernels(values, rng, family):
