@@ -33,15 +33,15 @@ as in ``seqineq spline FILE | head``; stderr stays empty.
 Reports are JSON documents with a fixed key set (see
 ``schemas/report.schema.json``); ``--format csv`` flattens the same report
 into key,value rows, except for ``spline`` where CSV emits plot data.
-Numbers are serialized with shortest round-trip formatting.  The JSON layout
-is exactly that of ``json.dumps(report, indent=2)``, and the CSV that of
-``csv.writer`` over the flattened report; the tests pin both, against
-``json.dumps`` on random trees and on every command's report.  The O(N^2)
-arrays (hull witnesses and pairwise violations) are never built: they are
-rendered as text one row at a time, straight to stdout, so the working
-memory stays O(N) plus one row whatever the size of the report.  ``hull``
-and ``decompose`` check the order of every witness from the parent pointers
-before writing anything.
+Numbers are serialized with shortest round-trip formatting.  A JSON report
+is one line, exactly ``json.dumps(report)`` (``python -m json.tool``
+indents it), and the CSV is that of ``csv.writer`` over the flattened
+report; the tests pin both, against ``json.dumps`` on random trees and on
+every command's report.  The O(N^2) arrays (hull witnesses and pairwise
+violations) are never built: they are rendered as text one row at a time,
+straight to stdout, so the working memory stays O(N) plus one row whatever
+the size of the report.  ``hull`` and ``decompose`` check the order of
+every witness from the parent pointers before writing anything.
 
 numpy is imported only by the three O(N^2) kernels, each by its own rule,
 and by ``lagrange`` above degree 3; ``--help``, ``spline`` and input
@@ -73,7 +73,6 @@ import json
 import os
 import sys
 import warnings
-from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 from . import __version__
@@ -126,7 +125,7 @@ def _base_report(command: str, u: Sequence, tol: ToleranceConfig) -> dict:
 
 
 class _IntArrays:
-    """A report's array of int arrays, produced one row at a time and read once.
+    """A report's non-empty array of int arrays, produced row by row, read once.
 
     A row ``(lead, lasts)`` stands for the arrays ``[*lead, x]`` for each x
     in ``lasts``: a failing row of the pairwise test is ``([m], ns)``, and
@@ -139,29 +138,16 @@ class _IntArrays:
         self.bound = bound
 
 
-def _brackets(indent: str | None) -> tuple[str, str, str]:
-    # Opening, separator and closing of an array on a line indented by
-    # ``indent`` as ``json.dumps(indent=2)`` lays it out, or as plain
-    # ``json.dumps`` does when ``indent`` is None.
-    if indent is None:
-        return "[", ", ", "]"
-    inner = indent + "  "
-    return "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
-
-
-def _int_array_chunks(node: _IntArrays, indent: str | None) -> Iterator[str]:
-    """``node`` as text laid out by ``_brackets(indent)``, one chunk per row."""
-    outer_open, outer_sep, outer_close = _brackets(indent)
-    item_open, item_sep, item_close = _brackets(None if indent is None else indent + "  ")
+def _int_array_chunks(node: _IntArrays) -> Iterator[str]:
+    """``node`` as ``json.dumps`` lays it out, one chunk per row."""
     dec = [str(i) for i in range(node.bound)]
-    dec_sep = [d + item_sep for d in dec]
-    between = item_close + outer_sep
-    sep = None
+    dec_sep = [d + ", " for d in dec]
+    sep = "["
     for lead, lasts in node.rows:
-        head = item_open + "".join(map(dec_sep.__getitem__, lead))
-        yield (sep or outer_open) + head + (between + head).join(map(dec.__getitem__, lasts)) + item_close
-        sep = outer_sep
-    yield outer_close if sep else "[]"
+        head = "[" + "".join(map(dec_sep.__getitem__, lead))
+        yield sep + head + ("], " + head).join(map(dec.__getitem__, lasts)) + "]"
+        sep = ", "
+    yield "]"
 
 
 def _flatten(prefix: str, node, writer) -> None:
@@ -172,7 +158,7 @@ def _flatten(prefix: str, node, writer) -> None:
         # The text holds no quote or line break, so ``csv.writer`` quotes it
         # iff it holds a comma; after the first two chunks it must, if ever.
         # Keys are plain dotted names, which the writer never quotes.
-        chunks = _int_array_chunks(node, None)
+        chunks = _int_array_chunks(node)
         head = next(chunks) + next(chunks, "")
         quote = '"' if "," in head else ""
         write = sys.stdout.write
@@ -184,69 +170,31 @@ def _flatten(prefix: str, node, writer) -> None:
         writer.writerow((prefix, json.dumps(node)))
 
 
-# One-line JSON with the C encoder (``json.dumps(indent=2)`` never uses it).
-_encode = json.JSONEncoder(check_circular=False).encode
+def _json_chunks(node, write) -> None:
+    """Pass ``node`` to ``write`` laid out as ``json.dumps(node)``.
 
-
-def _json_chunks(node, indent: str, write) -> None:
-    """Pass ``node`` to ``write`` laid out as ``json.dumps(node, indent=2)``.
-
-    ``indent`` is the indentation of the line ``node`` starts on.  An array of
-    numbers, bools and nulls, or an array of such non-empty arrays, is
-    encoded in one call to the C encoder and re-indented by string
-    replacement.  Any array whose text holds a string (as every non-empty
-    object does) or an empty array is walked item by item instead: a string
-    could hold the separators that the replacement looks for, and ``[]``
-    stays on one line.  ``{}`` stays on one line too, like a number.  Object
-    keys must be strings.  An ``_IntArrays`` is rendered row by row.
+    Objects are walked key by key, so that an ``_IntArrays`` below them is
+    rendered row by row; any other value is one ``json.dumps`` call.  Object
+    keys must be strings.
     """
-    inner = indent + "  "
     if isinstance(node, dict):
-        if not node:
-            write("{}")
-            return
-        sep = "{\n"
+        write("{")
+        sep = ""
         for key, value in node.items():
-            write(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
-            _json_chunks(value, inner, write)
-            sep = ",\n"
-        write(f"\n{indent}}}")
+            write(f"{sep}{json.dumps(key)}: ")
+            _json_chunks(value, write)
+            sep = ", "
+        write("}")
     elif isinstance(node, _IntArrays):
-        for chunk in _int_array_chunks(node, indent):
+        for chunk in _int_array_chunks(node):
             write(chunk)
-    elif isinstance(node, (list, tuple)):
-        if not node:
-            write("[]")
-            return
-        text = _encode(node)
-        if '"' not in text and "[]" not in text:
-            if text.count("[") == 1:
-                body = text[1:-1].replace(", ", ",\n" + inner)
-                write(f"[\n{inner}{body}\n{indent}]")
-                return
-            # Only an array of arrays of scalars opens with "[[", closes
-            # with "]]" and opens every other array right after "], [".
-            if (text.startswith("[[") and text.endswith("]]")
-                    and text.count("[") == text.count("], [") + 2):
-                inner2 = inner + "  "
-                body = (text[2:-2]
-                        .replace("], [", f"\n{inner}],\n{inner}[\n{inner2}")
-                        .replace(", ", ",\n" + inner2))
-                write(f"[\n{inner}[\n{inner2}{body}\n{inner}]\n{indent}]")
-                return
-        sep = "[\n"
-        for item in node:
-            write(sep + inner)
-            _json_chunks(item, inner, write)
-            sep = ",\n"
-        write(f"\n{indent}]")
     else:
-        write(_encode(node))
+        write(json.dumps(node))
 
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        _json_chunks(report, "", sys.stdout.write)
+        _json_chunks(report, sys.stdout.write)
         sys.stdout.write("\n")
         return
     writer = csv.writer(sys.stdout, lineterminator="\n")

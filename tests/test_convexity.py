@@ -224,3 +224,23 @@ def test_concavity_tracks_nonincreasing_differences():
         assert classify(u).concave
         d = forward_differences(u)
         assert classify(d).monotone_decreasing
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=RuntimeError,
+    reason="ROADMAP item 2: the three convexity legs disagree, through slacks "
+    "scaled differently or steps that round, and certify_convexity raises",
+)
+@pytest.mark.parametrize(
+    "values, base",
+    [
+        ((1e6, 1e6 + 1, 1e6 + 2 - 1e-4), 0),
+        ((7316870.326960323, 7316870.326908223, 7316870.32696826, 7316870.326112273), 1),
+        ((1.7e308, 1, -1.7e308), 0),
+    ],
+    ids=["large-offset", "large-offset-wiggle", "rounded-steps"],
+)
+def test_convexity_legs_agree_at_large_magnitudes(values, base):
+    # Which verdict is right is for the fix to decide; any certificate passes.
+    assert certify_convexity(Sequence(values, base)) is not None

@@ -1,4 +1,4 @@
-"""The report writer against ``json.dumps(indent=2)`` on random JSON trees."""
+"""The report writer against ``json.dumps`` on random JSON trees."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from seqineq.cli import _json_chunks
 
-# Text that a re-indenting writer could mistake for layout or escape wrongly.
+# Text that a writer could mistake for layout or escape wrongly.
 TRICKY_TEXT = ('", "', '"], ["', "], [", ", ", '"', "\\", "[]", "{}", "é", "雪", "\U0001f600", "")
 
 numbers = st.one_of(
@@ -42,19 +42,19 @@ trees = st.recursive(
 
 def _write(node) -> str:
     chunks: list[str] = []
-    _json_chunks(node, "", chunks.append)
+    _json_chunks(node, chunks.append)
     return "".join(chunks)
 
 
 @pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "python-encoder"])
 @settings(max_examples=150, deadline=None)
 @given(tree=trees)
-def test_writer_matches_json_dumps_indent_2(c_encoder, tree):
+def test_writer_matches_json_dumps(c_encoder, tree):
     with pytest.MonkeyPatch.context() as mp:
         if not c_encoder:
             # As on an interpreter built without the _json accelerator.
             mp.setattr(json.encoder, "c_make_encoder", None)
-        assert _write(tree) == json.dumps(tree, indent=2)
+        assert _write(tree) == json.dumps(tree)
 
 
 @pytest.mark.parametrize(
@@ -72,4 +72,4 @@ def test_writer_matches_json_dumps_indent_2(c_encoder, tree):
     ],
 )
 def test_writer_matches_json_dumps_on_near_bulk_arrays(node):
-    assert _write(node) == json.dumps(node, indent=2)
+    assert _write(node) == json.dumps(node)
