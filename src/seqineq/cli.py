@@ -43,9 +43,10 @@ straight to stdout, so the working memory stays O(N) plus one row whatever
 the size of the report.  ``hull`` and ``decompose`` check the order of
 every witness from the parent pointers before writing anything.
 
-numpy is imported only by the three O(N^2) kernels, each by its own rule,
-and by ``lagrange`` above degree 3; ``--help``, ``spline`` and input
-refusals never load it.  Importing it takes roughly 100 ms.
+numpy is imported only by the three O(N^2) kernels, each by its own rule;
+``--help``, ``spline``, ``lagrange`` and input refusals never load it.
+Importing it takes roughly 100 ms.  ``lagrange`` computes the interpolant
+and its convexity class exactly, in integers.
 
 * The pairwise check (``check-subadd`` without ``--eps``) runs pure-Python
   rows up to ``PURE_ROWS_MAX_N`` (256) entries and numpy rows above, since

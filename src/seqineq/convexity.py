@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import DEFAULT_TOLERANCE, PURE_ROWS_MAX_N, Sequence, ToleranceConfig, defining_sides
+from .core import DEFAULT_TOLERANCE, PURE_ROWS_MAX_N, Sequence, ToleranceConfig, defining_sides, dyadic_integers
 
 
 @dataclass(frozen=True)
@@ -233,9 +233,7 @@ def _row_certifier(u: Sequence, tol: ToleranceConfig):
     # Entries up to 2**1022 keep every u[n] - u[m] finite.
     if tol.rel_tol < _MIN_CERTIFIED_REL_TOL or max(map(abs, vals)) > 2.0**1022:
         return lambda n, vn: False
-    ratios = [x.as_integer_ratio() for x in vals]
-    den = max(d for _, d in ratios)  # powers of two: the largest is a common multiple
-    ys = [a * (den // d) for a, d in ratios]
+    ys, den = dyadic_integers(vals)
     hull: list[int] = []
     for i, y in enumerate(ys):
         while len(hull) >= 2:

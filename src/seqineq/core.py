@@ -73,6 +73,20 @@ class ToleranceConfig:
 DEFAULT_TOLERANCE = ToleranceConfig()
 
 
+def dyadic_integers(values: Iterable[float]) -> tuple[list[int], int]:
+    """Scale floats to integers by one power of two: ``x == y / den`` exactly.
+
+    Every finite float is a dyadic rational ``a / 2**e``, so the largest of
+    the denominators is a multiple of all the others.
+
+    >>> dyadic_integers((1.5, -2.0, 0.25))
+    ([6, -8, 1], 4)
+    """
+    ratios = [x.as_integer_ratio() for x in values]
+    den = max(d for _, d in ratios)
+    return [a * (den // d) for a, d in ratios], den
+
+
 @dataclass(frozen=True)
 class Sequence:
     """Finite real-valued sequence anchored at absolute index 0 or 1.

@@ -7,20 +7,21 @@ iff every local piece is a convex parabola.  The global Lagrange interpolant
 through all points has no such property: a sequence can be convex while its
 interpolating polynomial is neither convex nor concave on the node interval,
 which is why the local pieces are the honest convexity witnesses.
+
+The global interpolant is computed, and its convexity class decided, in
+exact integer arithmetic; only the coefficients it reports are rounded.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .core import DEFAULT_TOLERANCE, Sequence, ToleranceConfig
+from .core import DEFAULT_TOLERANCE, Sequence, ToleranceConfig, dyadic_integers
 
 MAX_LAGRANGE_DEGREE = 64
 CONDITIONING_WARN_DEGREE = 20
-
-_SIGN_GRID_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -30,19 +31,24 @@ class Polynomial:
     Trailing zero coefficients are stripped on construction, so the last
     coefficient is nonzero unless the polynomial is identically zero, which
     is represented as ``(0.0,)``.
+
+    ``exact`` is the polynomial the floats stand for, as ``(numerators,
+    denominator)``: the coefficient of ``x**k`` is ``numerators[k] /
+    denominator``, stripped the same way.  It defaults to the floats' own
+    values; :func:`lagrange_polynomial` passes the interpolant's, of which
+    the floats are the rounding.
     """
 
     coefficients: tuple[float, ...]
+    exact: tuple[tuple[int, ...], int] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.coefficients)
+        coeffs = _stripped(tuple(float(c) for c in self.coefficients) or (0.0,))
         if any(not math.isfinite(c) for c in coeffs):
             raise ValueError("coefficients must be finite")
-        while len(coeffs) > 1 and coeffs[-1] == 0.0:
-            coeffs = coeffs[:-1]
-        if not coeffs:
-            coeffs = (0.0,)
+        nums, den = self.exact or dyadic_integers(coeffs)
         object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "exact", (_stripped(tuple(nums)), den))
 
     @property
     def degree(self) -> int:
@@ -62,6 +68,12 @@ class Polynomial:
         if len(c) == 1:
             return Polynomial((0.0,))
         return Polynomial(tuple(k * c[k] for k in range(1, len(c))))
+
+
+def _stripped(coeffs: tuple) -> tuple:
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -143,16 +155,45 @@ def spline_eval(u: Sequence, x: float) -> float:
 def lagrange_polynomial(u: Sequence) -> Polynomial:
     """Monomial coefficients of the interpolant through ``(n, u[n])`` for all n.
 
-    Computed via Newton divided differences, then expanded.  The monomial
-    basis is ill-conditioned for long sequences: degrees above
-    ``CONDITIONING_WARN_DEGREE`` trigger a RuntimeWarning and degrees above
-    ``MAX_LAGRANGE_DEGREE`` are rejected outright.
+    Computed exactly in integers.  The values are scaled to integers ys by
+    one power of two, ``u[n] = ys[n] / den``.  The nodes are unit-spaced, so
+    the Newton coefficients are the forward differences ``Δ^k ys / (k! den)``,
+    and ``m! den p``, for degree m, has integer monomial coefficients.  Each
+    reported coefficient is its numerator over ``m! den``, correctly
+    rounded; one beyond float range raises a ValueError that names it,
+    before any warning.  The returned polynomial carries the exact form,
+    which is what :func:`polynomial_convexity_on_interval` classifies.  The
+    rounded monomial coefficients are ill-conditioned for long sequences:
+    degrees above ``CONDITIONING_WARN_DEGREE`` trigger a RuntimeWarning and
+    degrees above ``MAX_LAGRANGE_DEGREE`` are rejected outright.
     """
     degree = len(u) - 1
     if degree > MAX_LAGRANGE_DEGREE:
         raise ValueError(
             f"degree {degree} above supported maximum {MAX_LAGRANGE_DEGREE}"
         )
+    ys, den = dyadic_integers(u.values)
+    # In place: ys[k] ends as the k-th forward difference at the first node.
+    for k in range(1, len(ys)):
+        for i in range(degree, k - 1, -1):
+            ys[i] -= ys[i - 1]
+    # Horner on the Newton form, from the top: nums = nums * (x - x_k) +
+    # ys[k] * m!/k!, with x_k = start_index + k.
+    nums = [0]
+    weight = 1  # m!/k!
+    for k in range(degree, -1, -1):
+        nums.insert(0, 0)
+        for i in range(len(nums) - 1):
+            nums[i] -= (u.start_index + k) * nums[i + 1]
+        nums[0] += ys[k] * weight
+        weight *= k
+    den *= math.factorial(degree)
+    coefficients = []
+    for k, c in enumerate(nums):
+        try:
+            coefficients.append(c / den)
+        except OverflowError:
+            raise ValueError(f"coefficient of x^{k} of the interpolant overflows") from None
     if degree > CONDITIONING_WARN_DEGREE:
         warnings.warn(
             f"monomial coefficients of a degree-{degree} interpolant are "
@@ -160,24 +201,7 @@ def lagrange_polynomial(u: Sequence) -> Polynomial:
             RuntimeWarning,
             stacklevel=2,
         )
-    xs = [float(n) for n in u.indices()]
-    dd = list(u.values)
-    # In-place divided-difference table; dd[k] ends as the order-k coefficient.
-    for order in range(1, len(dd)):
-        for i in range(len(dd) - 1, order - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - order])
-    coeffs = [0.0] * len(dd)
-    basis = [1.0]
-    for k, c in enumerate(dd):
-        for i, bc in enumerate(basis):
-            coeffs[i] += c * bc
-        if k < len(dd) - 1:
-            nxt = [0.0] * (len(basis) + 1)
-            for i, bc in enumerate(basis):
-                nxt[i] -= xs[k] * bc
-                nxt[i + 1] += bc
-            basis = nxt
-    return Polynomial(tuple(coeffs))
+    return Polynomial(tuple(coefficients), (tuple(nums), den))
 
 
 def polynomial_convexity_on_interval(
@@ -188,37 +212,33 @@ def polynomial_convexity_on_interval(
 ) -> str:
     """Classify p on [lo, hi] as ``convex``, ``concave``, ``both``, or ``neither``.
 
-    For degree <= 3 the second derivative is affine and endpoint signs decide
-    exactly.  For higher degrees the second derivative is sampled on a
-    1024-point uniform grid (endpoints included) plus its real critical
-    points, which is best effort: a sign excursion narrower than the grid
-    can in principle be missed.
+    The verdict is exact for ``p.exact``, under the package's tolerance rule
+    applied to p'' at every real x of [lo, hi]: convex iff ``tol.leq(0,
+    p''(x))`` for all x, concave iff ``tol.leq(p''(x), 0)`` for all x.  For
+    ``rel_tol < 1`` these read ``p'' + abs_tol >= 0`` and ``abs_tol - p'' >=
+    0`` on [lo, hi]; for ``rel_tol >= 1`` every comparison holds, and the
+    class is ``both``.  Each test is decided in integers by
+    :func:`seqineq.polysign.nonnegative_on`.
     """
     lo = float(lo)
     hi = float(hi)
     if not (lo < hi):
         raise ValueError("lo must be strictly less than hi")
-    dd = p.derivative().derivative()
-    if dd.is_zero():
+    if tol.rel_tol >= 1.0:
         return "both"
-    if p.degree <= 3:
-        samples = (dd(lo), dd(hi))
-    else:
-        import numpy as np
+    from .polysign import nonnegative_on
 
-        xs = [float(x) for x in np.linspace(lo, hi, _SIGN_GRID_POINTS)]
-        ddd = dd.derivative()
-        if not ddd.is_zero() and ddd.degree >= 1:
-            for root in np.roots(ddd.coefficients[::-1]):
-                if abs(root.imag) < 1e-9 and lo <= root.real <= hi:
-                    xs.append(float(root.real))
-        samples = tuple(dd(x) for x in xs)
-    nonneg = all(tol.leq(0.0, s) for s in samples)
-    nonpos = all(tol.leq(s, 0.0) for s in samples)
-    if nonneg and nonpos:
+    nums, den = p.exact
+    # (p'' + abs_tol) * den * b and (abs_tol - p'') * den * b, abs_tol = a / b
+    a, b = tol.abs_tol.as_integer_ratio()
+    curvature = [k * (k - 1) * c * b for k, c in enumerate(nums)][2:] or [0]
+    cells = len(nums) - 1
+    convex = nonnegative_on([curvature[0] + a * den, *curvature[1:]], lo, hi, cells)
+    concave = nonnegative_on([a * den - curvature[0], *(-c for c in curvature[1:])], lo, hi, cells)
+    if convex and concave:
         return "both"
-    if nonneg:
+    if convex:
         return "convex"
-    if nonpos:
+    if concave:
         return "concave"
     return "neither"

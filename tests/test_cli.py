@@ -268,6 +268,8 @@ SUPPORT_CHECK_OVERFLOW = (
     "v[0] = 1.7e+308, v[0] * (0 - 2) = -inf"
 )
 PEAK_OVERFLOW = "second difference of u[0..2] overflows"
+LAGRANGE_OVERFLOW_10 = "coefficient of x^1 of the interpolant overflows"
+LAGRANGE_OVERFLOW_30 = "coefficient of x^3 of the interpolant overflows"
 # The input of each case, by its message; the others read ALTERNATING.
 OVERFLOW_INPUTS = {
     # Linear, so the defining and slope legs pass; the support pair
@@ -275,6 +277,10 @@ OVERFLOW_INPUTS = {
     SUPPORT_CHECK_OVERFLOW: "# start_index=0\n-1.7e308\n0\n1.7e308\n",
     # 2 * u[1] overflows; its infinite slack would pass the defining leg.
     PEAK_OVERFLOW: "# start_index=0\n0\n1.7e308\n0\n",
+    # The exact interpolants' coefficients of x^1 and x^3 are beyond float
+    # range; the degree-29 one fails before its conditioning warning.
+    LAGRANGE_OVERFLOW_10: "# start_index=0\n" + "".join(f"{(-1) ** k * 1.7e308}\n" for k in range(10)),
+    LAGRANGE_OVERFLOW_30: "# start_index=0\n" + "".join(f"{(-1) ** k * 1e300}\n" for k in range(30)),
 }
 ALTERNATING = "1.7e308\n-1.7e308\n1.7e308\n-1.7e308\n"
 
@@ -293,6 +299,8 @@ ALTERNATING = "1.7e308\n-1.7e308\n1.7e308\n-1.7e308\n"
         (["check-convex"], SUPPORT_CHECK_OVERFLOW),
         (["support"], "support sequence overflows at n=1: u[2] - u[1] = -inf"),
         (["check-convex"], PEAK_OVERFLOW),
+        (["lagrange"], LAGRANGE_OVERFLOW_10),
+        (["lagrange"], LAGRANGE_OVERFLOW_30),
     ],
 )
 def test_overflow_is_named_on_finite_input(tmp_path, capsys, argv, message):
@@ -475,6 +483,37 @@ def test_hull_commands_on_few_generators_do_not_load_numpy(tmp_path):
     # 1-approximately subadditive
     assert codes == [0, 0, 0, 1] * 2
     assert not loaded
+
+
+LAGRANGE_PROBE = """
+import io, json, sys
+from seqineq.cli import run_cli
+sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+codes = [run_cli(["--help"])]
+help_loaded = sorted({"fractions", "decimal"} & set(sys.modules))
+codes += [run_cli(["lagrange", path]) for path in sys.argv[1:]]
+sys.__stdout__.write(json.dumps([codes, help_loaded, "numpy" in sys.modules]))
+"""
+
+
+def test_lagrange_and_help_load_neither_numpy_nor_fractions(tmp_path):
+    # Degrees 4, 21 (above the conditioning warning) and 64 (the maximum);
+    # 2^k at degree 64 takes the Bernstein subdivision to prove "convex".
+    rng = random.Random("lagrange-probe")
+    inputs = {
+        "squares4": [k * k for k in range(5)],
+        "noise21": [rng.randint(0, 1000) for _ in range(22)],
+        "noise64": [rng.randint(0, 1000) for _ in range(65)],
+        "powers64": [2**k for k in range(65)],
+    }
+    files = [_write(tmp_path, f"{name}.csv", "".join(f"{x}\n" for x in values))
+             for name, values in inputs.items()]
+    proc = _python("-c", LAGRANGE_PROBE, *files, stdout=subprocess.PIPE, text=True)
+    out, _ = proc.communicate(timeout=60)
+    codes, help_loaded, numpy_loaded = json.loads(out)
+    assert codes == [0] * 5
+    assert help_loaded == []
+    assert not numpy_loaded
 
 
 # ------------------------------------------------------------- global options

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import math
 import random
+import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corpus import random_values
+import seqineq.polysign as polysign
 from seqineq import (
     Polynomial,
     Sequence,
@@ -202,3 +208,242 @@ def test_polynomial_convexity_high_degree_grid_path():
 def test_polynomial_convexity_tolerance_flattens_noise():
     nearly_flat = Polynomial((0.0, 0.0, 1e-12))
     assert polynomial_convexity_on_interval(nearly_flat, -1, 1) == "both"
+
+
+
+def test_polynomial_convexity_rel_tol_one_accepts_every_curvature():
+    # tol.leq(0, s) and tol.leq(s, 0) both hold for every s once rel_tol >= 1
+    wiggle = Polynomial((0, 0, -1.0, 0, 1.0))
+    assert polynomial_convexity_on_interval(wiggle, -1, 1, ToleranceConfig(rel_tol=1.0)) == "both"
+
+# ------------------------------------------------- exact interpolant oracle
+#
+# Independent of the package's integer path: the interpolant comes from the
+# Lagrange basis in Fraction, and the sign of q = p'' +- abs_tol on
+# [lo, hi] from Sturm counts that cut the interval until every cell holds
+# no root of q inside, or one root and none at its ends; q is then sampled
+# at each root-free cell's midpoint and at both ends of each other cell.
+
+
+def _times(a: list, b: list) -> list:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _trim(a: list) -> list:
+    while len(a) > 1 and a[-1] == 0:
+        a = a[:-1]
+    return a
+
+
+def _oracle_coefficients(values, start: int) -> list:
+    xs = range(start, start + len(values))
+    total = [Fraction(0)] * len(values)
+    for i, (xi, yi) in enumerate(zip(xs, values)):
+        basis = [Fraction(yi)]
+        for j, xj in enumerate(xs):
+            if j != i:
+                basis = _times(basis, [Fraction(-xj, xi - xj), Fraction(1, xi - xj)])
+        total = [t + b for t, b in zip(total, basis)]
+    return _trim(total)
+
+
+def _at(a: list, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _remainder(a: list, b: list) -> list:
+    a = list(a)
+    while len(a) >= len(b) and any(a):
+        f = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for j, y in enumerate(b):
+            a[shift + j] -= f * y
+        a = a[:-1]
+    return _trim(a) if a else [Fraction(0)]
+
+
+def _squarefree_sturm(q: list) -> list:
+    derivative = [k * c for k, c in enumerate(q)][1:]
+    g, h = q, derivative
+    while any(h):
+        g, h = h, _remainder(g, h)
+    # g is gcd(q, q'); divide it out
+    quotient, rest = [], list(q)
+    while len(rest) >= len(g):
+        f = rest[-1] / g[-1]
+        quotient.append(f)
+        shift = len(rest) - len(g)
+        for j, y in enumerate(g):
+            rest[shift + j] -= f * y
+        rest = rest[:-1]
+    s = quotient[::-1]
+    chain = [s, [k * c for k, c in enumerate(s)][1:]]
+    while len(chain[-1]) > 1:
+        r = _remainder(chain[-2], chain[-1])
+        if not any(r):
+            break
+        chain.append([-c for c in r])
+    return chain
+
+
+def _variation_count(chain: list, x: Fraction) -> int:
+    signs = [v > 0 for v in (_at(c, x) for c in chain) if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _oracle_nonnegative(q: list, lo: Fraction, hi: Fraction) -> bool:
+    if any(_at(q, Fraction(x)) < 0 for x in range(int(lo), int(hi) + 1)):
+        return False
+    if len(q) == 1:
+        return True
+    chain = _squarefree_sturm(q)
+    cells = [(lo, hi)]
+    points = [lo, hi]
+    while cells:
+        a, b = cells.pop()
+        # distinct roots in (a, b): Sturm counts (a, b], less a root at b
+        inside = _variation_count(chain, a) - _variation_count(chain, b) - (_at(q, b) == 0)
+        middle = (a + b) / 2
+        if inside == 0:
+            points.append(middle)
+        elif inside == 1 and _at(q, a) != 0 and _at(q, b) != 0:
+            points += [a, b]  # one on each side of the root
+        else:
+            cells += [(a, middle), (middle, b)]
+    return all(_at(q, x) >= 0 for x in points)
+
+
+def _oracle_class(coefficients: list, lo: int, hi: int, abs_tol: float) -> str:
+    curvature = [k * (k - 1) * c for k, c in enumerate(coefficients)][2:] or [Fraction(0)]
+    slack = Fraction(abs_tol)
+    convex = _oracle_nonnegative([curvature[0] + slack, *curvature[1:]], Fraction(lo), Fraction(hi))
+    concave = _oracle_nonnegative([slack - curvature[0], *(-c for c in curvature[1:])], Fraction(lo), Fraction(hi))
+    return {(True, True): "both", (True, False): "convex", (False, True): "concave"}.get(
+        (convex, concave), "neither"
+    )
+
+
+wide = st.floats(min_value=1e-300, max_value=1e300)
+lagrange_entries = st.integers(-1000, 1000).map(float) | st.tuples(st.booleans(), wide).map(
+    lambda t: -t[1] if t[0] else t[1]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    values=st.lists(lagrange_entries, min_size=2, max_size=10),
+    start=st.sampled_from((0, 1)),
+    abs_tol=st.sampled_from((0.0, 1e-9)),
+)
+@example(values=[0.0, -1.0, 1.0, 3.0], start=0, abs_tol=1e-9)
+@example(values=[1e-300, -1e-300, 1e-300, -1e-300, 1e-300], start=1, abs_tol=0.0)
+@example(values=[2.0**k for k in range(10)], start=0, abs_tol=0.0)
+@example(values=[1e300 * k**4 for k in range(1, 11)], start=1, abs_tol=1e-9)
+@example(values=[-1e-300 * k**4 for k in range(10)], start=0, abs_tol=0.0)
+@example(values=[2 * n**6 - 20 * n**4 + 120 * n**2 for n in range(7)], start=0, abs_tol=0.0)
+def test_lagrange_class_matches_exact_oracle(values, start, abs_tol):
+    u = Sequence(values, start)
+    exact = _oracle_coefficients(u.values, start)
+    try:
+        p = lagrange_polynomial(u)
+    except ValueError as exc:
+        k = int(str(exc).split("^")[1].split()[0])
+        assert str(exc) == f"coefficient of x^{k} of the interpolant overflows"
+        with pytest.raises(OverflowError):
+            float(exact[k])
+        assert all(math.isfinite(float(c)) for c in exact[:k])
+        return
+    # every coefficient is the exact one, correctly rounded
+    assert p.coefficients == Polynomial(tuple(float(c) for c in exact)).coefficients
+    tol = ToleranceConfig(abs_tol=abs_tol)
+    got = polynomial_convexity_on_interval(p, u.start_index, u.last_index, tol)
+    assert got == _oracle_class(exact, u.start_index, u.last_index, abs_tol)
+
+
+def test_lagrange_class_at_degree_64():
+    # base-0 2^k: every forward difference is 1, so p'' > 0 on [0, 64]; the
+    # monomial floats, sampled, read "neither"
+    powers = Sequence(tuple(2.0**k for k in range(65)), 0)
+    # random integers: the Runge-type interpolant swings in sign between nodes
+    rng = random.Random(6565)
+    runge = Sequence(tuple(float(rng.randint(0, 1000)) for _ in range(65)), 1)
+    for u, want in ((powers, "convex"), (runge, "neither")):
+        with pytest.warns(RuntimeWarning, match="ill-conditioned"):
+            p = lagrange_polynomial(u)
+        assert polynomial_convexity_on_interval(p, u.start_index, u.last_index) == want
+
+
+def test_tangent_curvature_reaches_sturm_and_is_convex(monkeypatch):
+    # u_n = 60 p(n) with p'' = 60 (x^2 - 2)^2: the exact curvature touches
+    # zero at the irrational sqrt(2), so no Bernstein cell around it ever
+    # turns nonnegative, and only the Sturm count can prove "convex"
+    u = Sequence(tuple(2 * n**6 - 20 * n**4 + 120 * n**2 for n in range(7)), 0)
+    calls = []
+    sturm = polysign._no_odd_roots_inside
+    monkeypatch.setattr(polysign, "_no_odd_roots_inside", lambda r: calls.append(r) or sturm(r))
+    tol = ToleranceConfig(abs_tol=0.0)
+    started = time.perf_counter()
+    verdict = polynomial_convexity_on_interval(lagrange_polynomial(u), 0, 6, tol)
+    assert time.perf_counter() - started < 2.0
+    assert verdict == "convex"
+    assert len(calls) == 1
+
+
+def _product(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rational=st.lists(st.tuples(st.integers(-3, 12), st.integers(1, 3)), max_size=4),
+    irrational=st.integers(0, 3),
+    definite=st.booleans(),
+    sign=st.sampled_from((1, -1)),
+)
+@example(rational=[(0, 1), (8, 1)], irrational=2, definite=False, sign=-1)
+def test_sturm_fallback_finds_roots_of_odd_multiplicity(rational, irrational, definite, sign):
+    # r = sign * (t^2 + 1)^definite * (2t^2 - 1)^irrational * prod (8t - b)^m:
+    # its roots in (0, 1) are 1/sqrt(2), of multiplicity `irrational`, and
+    # each b/8 with 0 < b < 8; b = 0 and b = 8 put roots at the ends
+    r = [sign]
+    for factor, power in [([1, 0, 1], int(definite)), ([-1, 0, 2], irrational)] + [([-b, 8], m) for b, m in rational]:
+        for _ in range(power):
+            r = _product(r, factor)
+    inside = {b: 0 for b, _ in rational if 0 < b < 8}
+    for b, m in rational:
+        if b in inside:
+            inside[b] += m
+    odd = irrational % 2 == 1 or any(m % 2 for m in inside.values())
+    assert polysign._no_odd_roots_inside(r) == (not odd)
+
+
+def test_sign_tests_stop_as_early_as_they_can(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("reached a step that should not run")
+
+    # Runge-type random integers: p'' changes sign at the nodes, so neither
+    # class needs a Bernstein cell
+    rng = random.Random(6565)
+    runge = Sequence(tuple(float(rng.randint(0, 1000)) for _ in range(65)), 1)
+    with pytest.warns(RuntimeWarning, match="ill-conditioned"):
+        p = lagrange_polynomial(runge)
+    monkeypatch.setattr(polysign, "_halves", forbidden)
+    assert polynomial_convexity_on_interval(p, 1, 65) == "neither"
+    monkeypatch.undo()
+    # p'' = 12x^2 - 6x + 0.63 is positive at the points 0, 1/2, ..., 2 of
+    # step 1 but dips below zero around x = 1/4, which a halved cell's end
+    # value finds without Sturm sequences
+    dip = Polynomial((0, 0, 0.315, -1.0, 1.0))
+    monkeypatch.setattr(polysign, "_no_odd_roots_inside", forbidden)
+    assert polynomial_convexity_on_interval(dip, 0, 2) == "neither"
