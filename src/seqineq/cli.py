@@ -68,13 +68,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import importlib.resources
 import itertools
 import json
 import os
 import sys
 import warnings
-from typing import Iterator
+from collections.abc import Iterator
 
 from . import __version__
 from .convexity import certify_convexity, support_sequence
@@ -108,6 +107,8 @@ class _Parser(argparse.ArgumentParser):
 
 def load_report_schema() -> dict:
     """The JSON schema that every report document conforms to."""
+    import importlib.resources
+
     text = (
         importlib.resources.files("seqineq")
         .joinpath("schemas/report.schema.json")
@@ -131,7 +132,8 @@ class _IntArrays:
     A row ``(lead, lasts)`` stands for the arrays ``[*lead, x]`` for each x
     in ``lasts``: a failing row of the pairwise test is ``([m], ns)``, and
     a witness is ``(parts[:-1], parts[-1:])``.  Every int is below ``bound``.
-    A plain class: defining a dataclass costs every start-up about 1 ms.
+    A plain class, not a ``core.frozen`` value class: nothing compares,
+    hashes or prints it, and its rows are an iterator that is read once.
     """
 
     def __init__(self, rows: Iterator[tuple[list[int], list[int]]], bound: int) -> None:

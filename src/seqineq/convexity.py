@@ -16,13 +16,12 @@ disagreement beyond tolerance is a bug, not a property of the input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
-from .core import DEFAULT_TOLERANCE, PURE_ROWS_MAX_N, Sequence, ToleranceConfig, defining_sides, dyadic_integers
+from .core import DEFAULT_TOLERANCE, PURE_ROWS_MAX_N, Sequence, ToleranceConfig, defining_sides, dyadic_integers, frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class ConvexityReport:
     """Outcome of the defining-inequality check.
 
@@ -35,7 +34,7 @@ class ConvexityReport:
     violations: tuple[tuple[int, float], ...] = ()
 
 
-@dataclass(frozen=True)
+@frozen
 class SlopeCheck:
     """Boolean verdict of the slope-monotonicity check plus the first bad triple."""
 
@@ -43,7 +42,7 @@ class SlopeCheck:
     first_violation: tuple[int, int, int] | None = None
 
 
-@dataclass(frozen=True)
+@frozen
 class SupportSequence:
     """Candidate discrete subgradient v for a sequence u.
 
@@ -71,7 +70,7 @@ class SupportSequence:
         return self.values[n - self.first_index]
 
 
-@dataclass(frozen=True)
+@frozen
 class SupportCheck:
     """Outcome of :func:`verify_support`: subgradient and monotonicity violations."""
 
@@ -80,7 +79,7 @@ class SupportCheck:
     monotonicity_violations: tuple[tuple[int, int], ...] = ()
 
 
-@dataclass(frozen=True)
+@frozen
 class ConvexityCertificate:
     """Joint verdict of the three convexity criteria on one sequence."""
 

@@ -13,9 +13,8 @@ flag-style :func:`classify` used by the monotonicity/subadditivity bridges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from operator import add
-from typing import Iterable, Iterator
 
 # The O(N^2) kernels verify_support and pairwise_violation_rows run
 # pure-Python rows on inputs of at most this many entries and numpy rows on
@@ -29,7 +28,74 @@ from typing import Iterable, Iterator
 PURE_ROWS_MAX_N = 256
 
 
-@dataclass(frozen=True)
+def frozen(cls=None, /, *, hidden=()):
+    """Make ``cls`` an immutable value class over its annotated fields.
+
+    It behaves as ``@dataclass(frozen=True)`` does, as far as this package
+    uses it, but without ``dataclasses``, whose import (with ``inspect``)
+    and generated methods cost every command-line process about 25 ms on a
+    2-vCPU VM:
+
+    * ``__init__`` takes the fields in declaration order, positionally or
+      by keyword, with their class attributes as defaults, then calls
+      ``__post_init__`` if the class has one;
+    * ``__eq__`` (same class only), ``__hash__`` and ``__repr__`` go over
+      the fields, leaving out those named in ``hidden``;
+    * assignment and deletion raise ``dataclasses.FrozenInstanceError``,
+      so ``__post_init__`` sets a field with ``object.__setattr__``.
+
+    Instances keep a ``__dict__``, so a ``functools.cached_property`` works.
+    """
+    if cls is None:
+        return lambda cls: frozen(cls, hidden=hidden)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    shown = tuple(name for name in names if name not in hidden)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    # A generated ``__init__`` sets the fields as fast as the dataclass one;
+    # a generic ``*args`` one costs about a third more per instance.
+    params = ", ".join(f"{name}=_defaults[{name!r}]" if name in defaults else name for name in names)
+    body = "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
+    if hasattr(cls, "__post_init__"):
+        body += "\n    self.__post_init__()"
+    namespace = {"_set": object.__setattr__, "_defaults": defaults}
+    exec(f"def __init__(self, {params}):{body}", namespace)
+
+    def key(self):
+        return tuple([getattr(self, name) for name in shown])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(shown, key(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    for method in (namespace["__init__"], __eq__, __hash__, __repr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    cls.__setattr__ = _refuse_assignment
+    cls.__delattr__ = _refuse_deletion
+    return cls
+
+
+def _refuse_assignment(self, name, value):
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+@frozen
 class ToleranceConfig:
     """Slack used by every inequality check in the package.
 
@@ -87,7 +153,7 @@ def dyadic_integers(values: Iterable[float]) -> tuple[list[int], int]:
     return [a * (den // d) for a, d in ratios], den
 
 
-@dataclass(frozen=True)
+@frozen
 class Sequence:
     """Finite real-valued sequence anchored at absolute index 0 or 1.
 
@@ -145,7 +211,7 @@ class Sequence:
         return self.values[n - self.start_index]
 
 
-@dataclass(frozen=True)
+@frozen
 class MediantReport:
     """Bounds from the mediant inequality: min_ratio <= combined_ratio <= max_ratio."""
 
@@ -154,7 +220,7 @@ class MediantReport:
     max_ratio: float
 
 
-@dataclass(frozen=True)
+@frozen
 class ClassificationFlags:
     """Elementary shape flags for a sequence; see :func:`classify`."""
 

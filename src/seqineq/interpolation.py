@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
-from .core import DEFAULT_TOLERANCE, Sequence, ToleranceConfig, dyadic_integers
+from .core import DEFAULT_TOLERANCE, Sequence, ToleranceConfig, dyadic_integers, frozen
 
 MAX_LAGRANGE_DEGREE = 64
 CONDITIONING_WARN_DEGREE = 20
 
 
-@dataclass(frozen=True)
+@frozen(hidden=("exact",))
 class Polynomial:
     """Dense polynomial ``c[0] + c[1]*x + c[2]*x**2 + ...`` (ascending).
 
@@ -40,7 +39,7 @@ class Polynomial:
     """
 
     coefficients: tuple[float, ...]
-    exact: tuple[tuple[int, ...], int] | None = field(default=None, repr=False, compare=False)
+    exact: tuple[tuple[int, ...], int] | None = None
 
     def __post_init__(self) -> None:
         coeffs = _stripped(tuple(float(c) for c in self.coefficients) or (0.0,))
@@ -76,7 +75,7 @@ def _stripped(coeffs: tuple) -> tuple:
     return coeffs
 
 
-@dataclass(frozen=True)
+@frozen
 class QuadraticPiece:
     """Parabola ``a*x**2 + b*x + c`` through three consecutive sequence points.
 

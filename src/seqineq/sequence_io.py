@@ -15,8 +15,8 @@ cycle reproduces every value bit for bit.
 from __future__ import annotations
 
 import json
+import os
 import re
-from pathlib import Path
 
 from .core import Sequence
 
@@ -74,23 +74,21 @@ def format_sequence_json(u: Sequence) -> str:
     return json.dumps({"start_index": u.start_index, "values": list(u.values)}) + "\n"
 
 
-def _is_json_path(path: Path) -> bool:
-    return path.suffix.lower() == ".json"
+def _is_json_path(path: str | os.PathLike) -> bool:
+    return os.path.splitext(path)[1].lower() == ".json"
 
 
-def read_sequence(path: str | Path) -> Sequence:
+def read_sequence(path: str | os.PathLike) -> Sequence:
     """Load a sequence file, picking the format from the extension."""
-    path = Path(path)
-    text = path.read_text()
+    with open(path) as fh:
+        text = fh.read()
     if _is_json_path(path):
         return parse_sequence_json(text)
     return parse_sequence_csv(text)
 
 
-def write_sequence(path: str | Path, u: Sequence) -> None:
+def write_sequence(path: str | os.PathLike, u: Sequence) -> None:
     """Write a sequence file, picking the format from the extension."""
-    path = Path(path)
-    if _is_json_path(path):
-        path.write_text(format_sequence_json(u))
-    else:
-        path.write_text(format_sequence_csv(u))
+    text = format_sequence_json(u) if _is_json_path(path) else format_sequence_csv(u)
+    with open(path, "w") as fh:
+        fh.write(text)

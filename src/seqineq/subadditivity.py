@@ -31,11 +31,10 @@ can be compared exactly on integer inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import cached_property, lru_cache
-from typing import Iterator
 
-from .core import DEFAULT_TOLERANCE, PURE_ROWS_MAX_N, Sequence, ToleranceConfig
+from .core import DEFAULT_TOLERANCE, PURE_ROWS_MAX_N, Sequence, ToleranceConfig, frozen
 
 ORACLE_MAX_N = 30
 
@@ -52,7 +51,7 @@ ORACLE_MAX_N = 30
 HULL_PURE_CELLS = 300_000
 
 
-@dataclass(frozen=True)
+@frozen
 class PartitionWitness:
     """One integer partition of n, parts in nondecreasing order."""
 
@@ -69,7 +68,7 @@ class PartitionWitness:
             raise ValueError("parts must be nondecreasing")
 
 
-@dataclass(frozen=True)
+@frozen
 class HullResult:
     """Hull v, remainder ``w = u - v`` with its maximum, and parent pointers.
 
@@ -111,7 +110,7 @@ class HullResult:
         )
 
 
-@dataclass(frozen=True)
+@frozen
 class PairwiseCheck:
     """Verdict of the pairwise test ``u[m+n] <= u[m] + u[n]`` with violations."""
 
@@ -123,7 +122,7 @@ class PairwiseCheck:
 Decomposition = HullResult
 
 
-@dataclass(frozen=True)
+@frozen
 class CompositionResult:
     """Sum ``u = v + w`` plus the certificate that u is max(w)-subadditive."""
 

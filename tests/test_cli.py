@@ -516,6 +516,36 @@ def test_lagrange_and_help_load_neither_numpy_nor_fractions(tmp_path):
     assert not numpy_loaded
 
 
+# The modules are diffed rather than listed, so that whatever the interpreter
+# loads before the import (a site hook, say) does not count.  dataclasses
+# brings inspect, ast and dis; the others serve one function each.
+IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+import seqineq.cli
+unwanted = {"dataclasses", "inspect", "importlib.resources", "typing", "pathlib"}
+added = sorted(unwanted & (set(sys.modules) - before))
+from seqineq import Sequence
+u = Sequence((1, 2))
+try:
+    u.start_index = 0
+    raised = None
+except Exception as exc:
+    import dataclasses
+    raised = type(exc) is dataclasses.FrozenInstanceError
+sys.stdout.write(json.dumps([added, raised, u.start_index]))
+"""
+
+
+def test_cli_import_leaves_out_dataclasses_and_single_use_modules():
+    proc = _python("-c", IMPORT_PROBE, stdout=subprocess.PIPE, text=True)
+    out, _ = proc.communicate(timeout=60)
+    added, raised, start_index = json.loads(out)
+    assert added == []
+    assert raised is True
+    assert start_index == 1
+
+
 # ------------------------------------------------------------- global options
 
 def test_tolerance_flags_work_in_both_positions(tmp_path, capsys):
