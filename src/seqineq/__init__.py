@@ -49,6 +49,7 @@ from .interpolation import (
     polynomial_convexity_on_interval,
     quadratic_piece,
     spline_eval,
+    spline_samples,
 )
 from .subadditivity import (
     ORACLE_MAX_N,
@@ -105,6 +106,7 @@ __all__ = [
     "polynomial_convexity_on_interval",
     "quadratic_piece",
     "spline_eval",
+    "spline_samples",
     "ORACLE_MAX_N",
     "CompositionResult",
     "Decomposition",

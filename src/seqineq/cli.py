@@ -32,7 +32,11 @@ as in ``seqineq spline FILE | head``; stderr stays empty.
 
 Reports are JSON documents with a fixed key set (see
 ``schemas/report.schema.json``); ``--format csv`` flattens the same report
-into key,value rows, except for ``spline`` where CSV emits plot data.
+into key,value rows, except for ``spline`` where CSV emits plot data:
+one ``# piece center=... a=... b=... c=...`` line per piece, the header
+``x,y``, then one ``repr(x),repr(y)`` row per sample.  These rows are plain
+``repr`` pairs, the bytes ``csv.writer`` would write for them, since a
+float's ``repr`` holds no comma, quote or line break.
 Numbers are serialized with shortest round-trip formatting.  A JSON report
 is one line, exactly ``json.dumps(report)`` (``python -m json.tool``
 indents it), and the CSV is that of ``csv.writer`` over the flattened
@@ -78,7 +82,7 @@ from collections.abc import Iterator
 from . import __version__
 from .convexity import certify_convexity, support_sequence
 from .core import DEFAULT_TOLERANCE, Sequence, ToleranceConfig, classify
-from .interpolation import lagrange_polynomial, polynomial_convexity_on_interval, quadratic_piece, spline_center
+from .interpolation import lagrange_polynomial, polynomial_convexity_on_interval, quadratic_piece, spline_samples
 from .sequence_io import read_sequence, write_sequence
 from .subadditivity import (
     HullResult,
@@ -250,24 +254,21 @@ def _spline(u: Sequence, args, tol: ToleranceConfig):
         raise ValueError("--samples must be at least 1")
     if len(u) < 3:
         raise ValueError("sequence too short")
-    first = u.start_index + 1
-    pieces = [quadratic_piece(u, n) for n in range(first, u.last_index)]
-    xs = [
-        i + t / per_unit
-        for i in range(u.start_index, u.last_index)
-        for t in range(per_unit)
-    ]
-    xs.append(float(u.last_index))
-    # Each sample is spline_eval(u, x), from the piece already built.
-    samples = [(x, pieces[spline_center(u, x) - first](x)) for x in xs]
+    pieces = [quadratic_piece(u, n) for n in range(u.start_index + 1, u.last_index)]
+    samples = spline_samples(pieces, per_unit)
     if args.format == "csv":
-        for piece in pieces:
-            print(
-                f"# piece center={piece.center} a={piece.a!r} b={piece.b!r} c={piece.c!r}"
-            )
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(("x", "y"))
-        writer.writerows((repr(x), repr(y)) for x, y in samples)
+        # What csv.writer writes for these rows: a float repr holds no
+        # comma, quote or line break, so no field is quoted.
+        lines = [
+            *(f"# piece center={p.center} a={p.a!r} b={p.b!r} c={p.c!r}\n" for p in pieces),
+            "x,y\n",
+            *(f"{x!r},{y!r}\n" for x, y in samples),
+        ]
+        # The last line goes on its own.  An unbuffered stdout (python -u)
+        # drops the rest of a write that a closing reader cuts short,
+        # silently; a short write after it fails whole, so it shows.
+        sys.stdout.write("".join(lines[:-1]))
+        sys.stdout.write(lines[-1])
         return True, None
     return True, {
         "spline": {

@@ -63,10 +63,18 @@ class Polynomial:
         return acc
 
     def derivative(self) -> "Polynomial":
-        c = self.coefficients
-        if len(c) == 1:
-            return Polynomial((0.0,))
-        return Polynomial(tuple(k * c[k] for k in range(1, len(c))))
+        """The derivative of ``exact``, each coefficient rounded once.
+
+        It carries its exact form, numerators ``k * numerators[k]`` over the
+        same denominator.
+        """
+        nums, den = self.exact
+        derived = tuple(k * n for k, n in enumerate(nums))[1:] or (0,)
+        try:
+            coefficients = tuple(n / den for n in derived)
+        except OverflowError:
+            raise ValueError("coefficients must be finite") from None
+        return Polynomial(coefficients, (derived, den))
 
 
 def _stripped(coeffs: tuple) -> tuple:
@@ -149,6 +157,31 @@ def spline_eval(u: Sequence, x: float) -> float:
     The piece used is the one centered at :func:`spline_center` of x.
     """
     return quadratic_piece(u, spline_center(u, x))(float(x))
+
+
+def spline_samples(pieces: list[QuadraticPiece], per_unit: int) -> list[tuple[float, float]]:
+    """``(x, spline_eval(u, x))`` on a grid of ``per_unit`` samples per unit.
+
+    ``pieces`` must be ``quadratic_piece(u, n)`` for every interior n of u,
+    in order.  The grid is ``i + t / per_unit`` for each index i but the
+    last and each t in ``range(per_unit)``, then the last index as a float.
+    Each y is the value of the piece that :func:`spline_center` picks, bit
+    for bit; the grid lies in the spline domain, so no point is checked.
+    """
+    first = pieces[0].center
+    last = pieces[-1].center
+    steps = [t / per_unit for t in range(per_unit)]
+    xs = [i + step for i in range(first - 1, last + 1) for step in steps]
+    xs.append(float(last + 1))
+    # round(x) runs from first - 1 to last + 1; an end piece at each end of
+    # the list does the clamp to the interior.
+    coefficients = [(p.a, p.b, p.c) for p in (pieces[0], *pieces, pieces[-1])]
+    offset = first - 1
+    return [
+        (x, (a * x + b) * x + c)
+        for x in xs
+        for a, b, c in [coefficients[round(x) - offset]]
+    ]
 
 
 def lagrange_polynomial(u: Sequence) -> Polynomial:

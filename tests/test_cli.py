@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import (
@@ -30,8 +31,10 @@ from seqineq import (
     Sequence,
     parse_sequence_csv,
     parse_sequence_json,
+    quadratic_piece,
     read_sequence,
     spline_eval,
+    spline_samples,
     write_sequence,
 )
 from seqineq.cli import run_cli, load_report_schema
@@ -387,18 +390,25 @@ def test_an_option_of_another_command_is_refused(tmp_path, capsys, argv):
     assert captured.err == f"error: unrecognized arguments: {' '.join(argv[1:])}\n"
 
 
-def test_closed_stdout_exits_141_with_empty_stderr(tmp_path):
-    # The report (one line of about 0.96 MB) is far larger than a pipe
-    # buffer, so the writer is still blocked on stdout when the reader goes
-    # away after its first byte.
+def test_closed_stdout_exits_141_with_empty_stderr(tmp_path, monkeypatch):
+    # The report (one line of about 0.96 MB) and the CSV (one write of about
+    # 0.8 MB) are far larger than a pipe buffer, so the writer is still
+    # blocked on stdout when the reader goes away after its first byte.  An
+    # unbuffered stdout returns from that write without an error.
     path = _write(tmp_path, "long.csv", "".join(f"{n * n}\n" for n in range(2000)))
-    proc = _python("-m", "seqineq.cli", "spline", path,
-                   stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.read(1) == b"{"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 141
-    assert err == b""
+    for unbuffered in (False, True):
+        if unbuffered:
+            monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+        else:
+            monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        for fmt, first in (("json", b"{"), ("csv", b"#")):
+            proc = _python("-m", "seqineq.cli", "spline", path, "--format", fmt,
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            assert proc.stdout.read(1) == first
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (fmt, unbuffered, proc.wait(timeout=60)) == (fmt, unbuffered, 141)
+            assert err == b""
 
 
 STARTUP_PROBE = """
@@ -580,6 +590,26 @@ def test_csv_format_spline_emits_plot_data(tmp_path, capsys):
     assert lines[header_at + 1] == "0.0,0.0"
 
 
+@pytest.mark.parametrize("patched", [False, True])
+def test_spline_csv_rows_are_what_csv_writer_writes(tmp_path, capsys, monkeypatch, patched):
+    path = _write(tmp_path, "u.csv", "# start_index=1\n5e-324\n1e-05\n1e+16\n-0.0\n3\n")
+    u = read_sequence(path)
+    pieces = [quadratic_piece(u, n) for n in range(2, u.last_index)]
+    samples = spline_samples(pieces, 3)
+    if patched:
+        # Floats whose repr has a sign, an exponent or no fraction digits.
+        samples = [(1.0, -0.0), (5e-324, 1e-05), (1e+16, 1.7976931348623157e+308), (-0.0, -1e-300)]
+        monkeypatch.setattr("seqineq.cli.spline_samples", lambda pieces, per_unit: samples)
+    assert run_cli(["spline", path, "--format", "csv", "--samples", "3"]) == 0
+    expected = io.StringIO()
+    for p in pieces:
+        expected.write(f"# piece center={p.center} a={p.a!r} b={p.b!r} c={p.c!r}\n")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(("x", "y"))
+    writer.writerows((repr(x), repr(y)) for x, y in samples)
+    assert capsys.readouterr().out == expected.getvalue()
+
+
 magnitudes = st.floats(1e-300, 1e300) | st.floats(-1e300, -1e-300)
 
 
@@ -589,6 +619,8 @@ magnitudes = st.floats(1e-300, 1e300) | st.floats(-1e300, -1e-300)
     base=st.sampled_from((0, 1)),
     per_unit=st.integers(1, 5),
 )
+@example(values=[0.0, 1.0, 3.0, 10.0, 30.0, 31.0, 33.0], base=0, per_unit=16)
+@example(values=[1e-300, -2.5, 1e300, 7.0], base=1, per_unit=7)
 def test_spline_samples_are_spline_eval_bit_for_bit(values, base, per_unit):
     # Even --samples put samples on the half-integer ties of the center rule.
     u = Sequence(tuple(values), base)

@@ -23,6 +23,7 @@ from seqineq import (
     quadratic_piece,
     second_differences,
     spline_eval,
+    spline_samples,
 )
 
 CONVEX_EXAMPLE = Sequence((0, -1, 1, 3), 0)
@@ -141,6 +142,35 @@ def test_spline_reproduces_affine_sequences():
     for _ in range(50):
         x = rng.uniform(0.0, 4.0)
         assert spline_eval(u, x) == pytest.approx(2.0 * x + 1.0, abs=1e-12)
+
+
+spline_magnitudes = st.floats(1e-300, 1e300) | st.floats(-1e300, -1e-300)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    values=st.lists(spline_magnitudes, min_size=3, max_size=30),
+    base=st.sampled_from((0, 1)),
+    per_unit=st.integers(1, 17),
+)
+@example(values=[0.0, 1.0, 3.0, 10.0, 30.0, 31.0, 33.0], base=0, per_unit=16)
+@example(values=[0.0, 1.0, 3.0, 10.0, 30.0, 31.0, 33.0], base=1, per_unit=7)
+@example(values=[1e300, -1e-300, 1e300], base=0, per_unit=16)
+@example(values=[-1e-300, 1e300, 1e-300], base=1, per_unit=17)
+@example(values=[2.0, 1.0, 5.0], base=1, per_unit=1)
+def test_spline_samples_are_spline_eval_on_the_grid(values, base, per_unit):
+    # Even per_unit puts samples on the half-integer ties of the center
+    # rule, odd per_unit never does; at N = 3 one piece serves both ends.
+    u = Sequence(tuple(values), base)
+    pieces = [quadratic_piece(u, n) for n in range(u.start_index + 1, u.last_index)]
+    grid = [
+        i + t / per_unit
+        for i in range(u.start_index, u.last_index)
+        for t in range(per_unit)
+    ]
+    grid.append(float(u.last_index))
+    samples = spline_samples(pieces, per_unit)
+    assert repr(samples) == repr([(x, spline_eval(u, x)) for x in grid])
 
 
 def test_lagrange_examples():
@@ -365,6 +395,26 @@ def test_lagrange_class_matches_exact_oracle(values, start, abs_tol):
     tol = ToleranceConfig(abs_tol=abs_tol)
     got = polynomial_convexity_on_interval(p, u.start_index, u.last_index, tol)
     assert got == _oracle_class(exact, u.start_index, u.last_index, abs_tol)
+
+
+def test_derivative_is_the_rounded_exact_derivative():
+    # Rounding k * c[k] from the rounded c[k] missed the correctly rounded
+    # derivative on most of these; derive from the exact form instead.
+    rng = random.Random(1717)
+    for _ in range(300):
+        n = rng.randint(3, 12)
+        start = rng.choice((0, 1))
+        values = [round(rng.uniform(-1000, 1000), rng.randint(0, 3)) for _ in range(n)]
+        p = lagrange_polynomial(Sequence(values, start))
+        exact = _oracle_coefficients(values, start)
+        for _ in range(2):
+            p = p.derivative()
+            exact = _trim([k * c for k, c in enumerate(exact)][1:] or [Fraction(0)])
+            assert p.coefficients == Polynomial(tuple(float(c) for c in exact)).coefficients
+            nums, den = p.exact
+            assert [Fraction(m, den) for m in nums] == exact
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        Polynomial((0.0, 0.0, 1.7e308)).derivative()
 
 
 def test_lagrange_class_at_degree_64():
