@@ -15,20 +15,29 @@ Commands
 * ``decompose FILE``      split u into subadditive part plus remainder
 * ``check-subadd FILE``   pairwise test, or hull test against ``--eps``; exit 0/1
 
-Each command is one entry of the table ``_COMMANDS``: its help text, the
-options of its own, and a builder that turns the input into the report
-sections that follow the common header (tool, command, tolerance, input)
-and says whether the property holds.  ``run_cli`` does the rest for every
-command: it parses the command line, reads the input once, calls the
-builder, writes the report and turns the verdict into the exit code.
-``epsilon`` and ``spline --format csv`` write their own output instead of
-a report.
+Each command is one entry of the table ``_COMMANDS``: its help text, its
+analysis module, the options of its own, and a builder that turns the input
+into the report sections that follow the common header (tool, command,
+tolerance, input) and says whether the property holds.  ``run_cli`` does
+the rest for every command: it parses the command line, reads the input
+once, imports the analysis module, calls the builder, writes the report and
+turns the verdict into the exit code.  ``epsilon`` and ``spline --format
+csv`` write their own output instead of a report.
+
+A process imports only the analysis module of its command
+(``convexity``, ``interpolation`` or ``subadditivity``), after the input
+has been read, so ``--help`` and input refusals import none of them, and
+``csv`` is imported only for a ``--format csv`` report.  The names the
+builders call are bound in this module when the command runs, unless a
+name is bound already (by a wrapper or a test's patch); an outside lookup
+such as ``cli.certify_convexity`` imports and binds them the same way.
 
 Exit code 2 means the input could not be used (unreadable file, malformed
-numbers, wrong index base, unknown flags); a one-line diagnostic goes to
-stderr.  Exit code 141 (128 + SIGPIPE, what a shell reports for a process
-killed by SIGPIPE) means stdout was closed before the report was written,
-as in ``seqineq spline FILE | head``; stderr stays empty.
+numbers, wrong index base, unknown flags) or the command ran out of memory
+(``error: out of memory``); a one-line diagnostic goes to stderr.  Exit
+code 141 (128 + SIGPIPE, what a shell reports for a process killed by
+SIGPIPE) means stdout was closed before the report was written, as in
+``seqineq spline FILE | head``; stderr stays empty.
 
 Reports are JSON documents with a fixed key set (see
 ``schemas/report.schema.json``); ``--format csv`` flattens the same report
@@ -71,7 +80,7 @@ and its convexity class exactly, in integers.
 from __future__ import annotations
 
 import argparse
-import csv
+import importlib
 import itertools
 import json
 import os
@@ -80,18 +89,52 @@ import warnings
 from collections.abc import Iterator
 
 from . import __version__
-from .convexity import certify_convexity, support_sequence
 from .core import DEFAULT_TOLERANCE, Sequence, ToleranceConfig, classify
-from .interpolation import lagrange_polynomial, polynomial_convexity_on_interval, quadratic_piece, spline_samples
 from .sequence_io import read_sequence, write_sequence
-from .subadditivity import (
-    HullResult,
-    check_epsilon,
-    decompose,
-    epsilon_star,
-    pairwise_violation_rows,
-    subadditive_hull,
-)
+
+# Analysis module -> the names of it that the builders call.  A command
+# imports its module when it runs (see ``_COMMANDS``), so that no process
+# compiles the analyses it does not use.
+_ANALYSES = {
+    "convexity": ("certify_convexity", "support_sequence"),
+    "interpolation": (
+        "lagrange_polynomial",
+        "polynomial_convexity_on_interval",
+        "quadratic_piece",
+        "spline_samples",
+    ),
+    "subadditivity": (
+        "check_epsilon",
+        "decompose",
+        "epsilon_star",
+        "pairwise_violation_rows",
+        "subadditive_hull",
+    ),
+}
+
+
+def _bind(module: str) -> None:
+    """Import an analysis module and bind the builders' names from it.
+
+    A name bound already stays bound, so that a wrapper put in its place
+    (a tracer's, a test's patch) is what the builder calls.
+    """
+    analysis = importlib.import_module(f".{module}", __package__)
+    names = globals()
+    for name in _ANALYSES[module]:
+        if name not in names:
+            names[name] = getattr(analysis, name)
+
+
+def __getattr__(name: str):
+    # PEP 562: ``cli.certify_convexity`` from outside imports and binds its
+    # module's names as the command would, so that they can be wrapped.
+    for module, names in _ANALYSES.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILED = 1
@@ -204,12 +247,15 @@ def _emit(report: dict, fmt: str) -> None:
         _json_chunks(report, sys.stdout.write)
         sys.stdout.write("\n")
         return
+    import csv
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(("key", "value"))
     _flatten("", report, writer)
 
 
-def _witnesses(hull: HullResult) -> _IntArrays:
+def _witnesses(hull) -> _IntArrays:
+    # ``hull`` is a ``HullResult`` or a ``Decomposition``.
     # Checked while the report is built, so that a refusal comes before any
     # output and any --out-v/--out-w file; the rows are rendered later.
     hull.check_witness_order()
@@ -357,24 +403,25 @@ def _check_subadd(u: Sequence, args, tol: ToleranceConfig):
     }
 
 
-# name -> (help, builder, options of its own).  A builder takes the input,
-# the parsed arguments and the tolerance, and returns ``(ok, sections)``:
-# the report sections that follow the base report, or None when it has
-# written its own output.  ``run_cli`` does the rest.
+# name -> (help, analysis module, builder, options of its own).  A builder
+# takes the input, the parsed arguments and the tolerance, and returns
+# ``(ok, sections)``: the report sections that follow the base report, or
+# None when it has written its own output.  ``run_cli`` imports the module
+# and does the rest.
 _COMMANDS = {
-    "check-convex": ("certify or refute convexity", _check_convex, {}),
-    "support": ("support (subgradient) sequence", _support, {}),
-    "spline": ("local quadratic pieces and samples", _spline, {
+    "check-convex": ("certify or refute convexity", "convexity", _check_convex, {}),
+    "support": ("support (subgradient) sequence", "convexity", _support, {}),
+    "spline": ("local quadratic pieces and samples", "interpolation", _spline, {
         "--samples": {"type": int, "default": 16, "help": "samples per unit interval (default 16)"},
     }),
-    "lagrange": ("global interpolant coefficients", _lagrange, {}),
-    "hull": ("subadditive hull with witnesses", _hull, {}),
-    "epsilon": ("smallest eps for approximate subadditivity", _epsilon, {}),
-    "decompose": ("split into subadditive part plus remainder", _decompose, {
+    "lagrange": ("global interpolant coefficients", "interpolation", _lagrange, {}),
+    "hull": ("subadditive hull with witnesses", "subadditivity", _hull, {}),
+    "epsilon": ("smallest eps for approximate subadditivity", "subadditivity", _epsilon, {}),
+    "decompose": ("split into subadditive part plus remainder", "subadditivity", _decompose, {
         "--out-v": {"help": "write the subadditive part to this sequence file"},
         "--out-w": {"help": "write the remainder to this sequence file"},
     }),
-    "check-subadd": ("pairwise or approximate subadditivity test", _check_subadd, {
+    "check-subadd": ("pairwise or approximate subadditivity test", "subadditivity", _check_subadd, {
         "--eps": {"type": float, "help": "test approximate subadditivity at this eps"},
     }),
 }
@@ -410,7 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Analyze a finite real sequence for convexity and subadditivity.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, (help_text, _, options) in _COMMANDS.items():
+    for name, (help_text, _, _, options) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.add_argument("file")
         for flag, kwargs in options.items():
@@ -435,7 +482,9 @@ def run_cli(argv: list[str]) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
             u = read_sequence(args.file)
-            ok, sections = _COMMANDS[args.command][1](u, args, tol)
+            _, module, build, _ = _COMMANDS[args.command]
+            _bind(module)
+            ok, sections = build(u, args, tol)
             if sections is not None:
                 _emit({**_base_report(args.command, u, tol), **sections}, args.format)
         # A closed stdout must show here, not in the exit-time flush.
@@ -451,6 +500,9 @@ def run_cli(argv: list[str]) -> int:
         return EXIT_BROKEN_PIPE
     except (_UsageError, ValueError, IndexError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_ERROR
 
 

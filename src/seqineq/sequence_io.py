@@ -79,8 +79,12 @@ def _is_json_path(path: str | os.PathLike) -> bool:
 
 
 def read_sequence(path: str | os.PathLike) -> Sequence:
-    """Load a sequence file, picking the format from the extension."""
-    with open(path) as fh:
+    """Load a sequence file, picking the format from the extension.
+
+    The file is read as UTF-8 whatever the locale, and a leading byte order
+    mark (as "CSV UTF-8" exports write) is skipped.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     if _is_json_path(path):
         return parse_sequence_json(text)

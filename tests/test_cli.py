@@ -115,6 +115,33 @@ def test_sequence_files_round_trip_bitwise(tmp_path):
         assert back.start_index == u.start_index
 
 
+def test_a_leading_byte_order_mark_is_skipped(tmp_path):
+    # Spreadsheets' "CSV UTF-8" starts the file with one.
+    texts = {
+        "header.csv": "# start_index=0\n1\n2.5\n",
+        "number.csv": "1\n2.5\n-3\n",
+        "seq.json": '{"start_index": 0, "values": [1, 2.5]}\n',
+    }
+    for name, text in texts.items():
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert read_sequence(marked) == read_sequence(plain), name
+
+
+def test_a_byte_order_mark_past_the_start_is_refused(tmp_path):
+    cases = {
+        "later.csv": ("1\n\ufeff2\n", "line 2: not a number"),
+        "twice.csv": ("\ufeff\ufeff1\n", "line 1: not a number"),
+        "later.json": ('{"values": \ufeff[1, 2]}', "invalid JSON"),
+    }
+    for name, (text, message) in cases.items():
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError, match=message):
+            read_sequence(path)
+
+
 # ------------------------------------------------------------ stated examples
 
 def test_check_convex_example(tmp_path, capsys):
@@ -350,6 +377,19 @@ def test_support_on_singleton_is_an_input_error(tmp_path, capsys):
     assert "too short" in capsys.readouterr().err
 
 
+def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "u.csv", "1\n3\n2\n")
+
+    def exhausted(pieces, per_unit):
+        raise MemoryError
+
+    monkeypatch.setattr("seqineq.cli.spline_samples", exhausted)
+    assert run_cli(["spline", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+
+
 def test_help_exits_zero(capsys):
     assert run_cli(["--help"]) == 0
     capsys.readouterr()
@@ -554,6 +594,122 @@ def test_cli_import_leaves_out_dataclasses_and_single_use_modules():
     assert added == []
     assert raised is True
     assert start_index == 1
+
+
+# What a process loads of the analysis modules and csv, diffed as above.
+# The command line runs as ``python -m seqineq.cli ARG...`` would run it.
+FOOTPRINT_PROBE = """
+import io, json, runpy, sys
+watched = {"csv", "seqineq.convexity", "seqineq.interpolation",
+           "seqineq.subadditivity", "seqineq.polysign"}
+before = set(sys.modules)
+out, sys.stdout, sys.stderr = sys.stdout, io.StringIO(), io.StringIO()
+sys.argv = ["seqineq", *sys.argv[1:]]
+try:
+    runpy.run_module("seqineq.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+out.write(json.dumps([code, sorted(watched & (set(sys.modules) - before))]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, loaded",
+    [
+        (["--help"], 0, []),
+        (["check-convex", "bad.csv"], 2, []),
+        (["hull", "missing.csv"], 2, []),
+        (["check-convex", "u.csv"], 1, ["seqineq.convexity"]),
+        (["check-convex", "u.csv", "--format", "csv"], 1, ["csv", "seqineq.convexity"]),
+        (["support", "u.csv"], 0, ["seqineq.convexity"]),
+        (["spline", "u.csv"], 0, ["seqineq.interpolation"]),
+        (["spline", "u.csv", "--format", "csv"], 0, ["seqineq.interpolation"]),
+        (["lagrange", "u.csv"], 0, ["seqineq.interpolation", "seqineq.polysign"]),
+        (["hull", "u.csv"], 0, ["seqineq.subadditivity"]),
+        (["hull", "u.csv", "--format", "csv"], 0, ["csv", "seqineq.subadditivity"]),
+        (["epsilon", "u.csv"], 0, ["seqineq.subadditivity"]),
+        (["decompose", "u.csv"], 0, ["seqineq.subadditivity"]),
+        (["check-subadd", "u.csv"], 1, ["seqineq.subadditivity"]),
+        (["check-subadd", "u.csv", "--eps", "1"], 1, ["seqineq.subadditivity"]),
+    ],
+)
+def test_a_command_loads_only_its_own_analysis_module(tmp_path, argv, code, loaded):
+    _write(tmp_path, "u.csv", "1\n3\n2\n5\n4\n")
+    _write(tmp_path, "bad.csv", "1\ntwo\n")
+    proc = _python("-c", FOOTPRINT_PROBE, *argv, cwd=tmp_path, stdout=subprocess.PIPE, text=True)
+    out, _ = proc.communicate(timeout=60)
+    assert json.loads(out) == [code, loaded]
+
+
+PACKAGE_PROBE = """
+import importlib, json, sys
+before = set(sys.modules)
+import seqineq
+loaded = sorted(name for name in set(sys.modules) - before if name.startswith("seqineq."))
+listed = sorted(set(seqineq.__all__) - set(dir(seqineq)))
+wrong = []
+for module, names in seqineq._EXPORTS.items():
+    home = importlib.import_module("seqineq." + module)
+    for name in names:
+        value = getattr(seqineq, name)
+        if value is not getattr(home, name) or getattr(value, "__module__", home.__name__) != home.__name__:
+            wrong.append(name)
+uncached = sorted(set(seqineq.__all__) - set(vars(seqineq)))
+try:
+    seqineq.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+exported = sorted(name for names in seqineq._EXPORTS.values() for name in names)
+sys.stdout.write(json.dumps([loaded, listed, wrong, uncached, unknown, exported, sorted(seqineq.__all__)]))
+"""
+
+
+def test_import_seqineq_resolves_each_name_on_first_use():
+    proc = _python("-c", PACKAGE_PROBE, stdout=subprocess.PIPE, text=True)
+    out, _ = proc.communicate(timeout=60)
+    loaded, listed, wrong, uncached, unknown, exported, public = json.loads(out)
+    assert loaded == []  # not even seqineq.core
+    assert listed == []  # dir() covers __all__
+    assert wrong == []  # each name is its defining module's object
+    assert uncached == []  # and is looked up once
+    assert unknown == "module 'seqineq' has no attribute 'no_such_name'"
+    assert public == sorted(["__version__", *exported])
+
+
+SHIM = Path(__file__).resolve().parent.parent / "perfbench" / "shim.py"
+
+
+# perfbench/shim.py wraps names of seqineq.cli and of the modules it
+# imports, in the order of its table; it lists a name it cannot find under
+# "missing".  Two of them are spans that no command reaches any more.
+@pytest.mark.parametrize(
+    "argv, span",
+    [
+        (["check-convex", "u.csv"], "convexity.certify"),
+        (["support", "u.csv"], "convexity.support_sequence"),
+        (["spline", "u.csv"], "interpolation.quadratic_piece"),
+        (["spline", "u.csv", "--format", "csv"], "interpolation.quadratic_piece"),
+        (["lagrange", "u.csv"], "interpolation.lagrange"),
+        (["hull", "u.csv"], "subadditivity.hull"),
+        (["epsilon", "u.csv"], "subadditivity.epsilon"),
+        (["decompose", "u.csv"], "subadditivity.decompose"),
+        (["check-subadd", "u.csv"], "core.classify"),
+        (["check-subadd", "u.csv", "--eps", "1"], "subadditivity.epsilon"),
+    ],
+)
+def test_the_tracing_shim_still_times_each_layer(tmp_path, argv, span):
+    _write(tmp_path, "u.csv", "1\n3\n2\n5\n4\n")
+    runs = {}
+    for name, args in (("shim", [str(SHIM), "trace.json"]), ("cli", ["-m", "seqineq.cli"])):
+        proc = _python(*args, *argv, cwd=tmp_path, stdout=subprocess.PIPE)
+        out, _ = proc.communicate(timeout=60)
+        runs[name] = (out, proc.returncode)
+    assert runs["shim"] == runs["cli"]
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    assert trace["missing"] == ["seqineq.cli.is_subadditive_pairwise", "seqineq.cli.spline_eval"]
+    spans = {s[0] for s in trace["spans"]}
+    assert {span, "sequence_io.read", "run_cli"} <= spans
 
 
 # ------------------------------------------------------------- global options
