@@ -49,12 +49,14 @@ float's ``repr`` holds no comma, quote or line break.
 Numbers are serialized with shortest round-trip formatting.  A JSON report
 is one line, exactly ``json.dumps(report)`` (``python -m json.tool``
 indents it), and the CSV is that of ``csv.writer`` over the flattened
-report; the tests pin both, against ``json.dumps`` on random trees and on
-every command's report.  The O(N^2) arrays (hull witnesses and pairwise
-violations) are never built: they are rendered as text one row at a time,
-straight to stdout, so the working memory stays O(N) plus one row whatever
-the size of the report.  ``hull`` and ``decompose`` check the order of
-every witness from the parent pointers before writing anything.
+report; the tests pin both on every command's report.  The O(N^2) arrays
+(hull witnesses and pairwise violations) are never built: they are
+rendered as text one row at a time, straight to stdout, so the working
+memory stays O(N) plus one row whatever the size of the report.  A JSON
+report is one ``json.dumps`` call whose ``default`` hook holds such an
+array back behind a placeholder; its rows are written where the
+placeholder stands.  ``hull`` and ``decompose`` check the order of every
+witness from the parent pointers before writing anything.
 
 numpy is imported only by the three O(N^2) kernels, each by its own rule;
 ``--help``, ``spline``, ``lagrange`` and input refusals never load it.
@@ -173,27 +175,18 @@ def _base_report(command: str, u: Sequence, tol: ToleranceConfig) -> dict:
     }
 
 
-class _IntArrays:
-    """A report's non-empty array of int arrays, produced row by row, read once.
+def _int_arrays(rows: Iterator[tuple[list[int], list[int]]], bound: int) -> Iterator[str]:
+    """A report's non-empty array of int arrays as ``json.dumps`` lays it out.
 
     A row ``(lead, lasts)`` stands for the arrays ``[*lead, x]`` for each x
     in ``lasts``: a failing row of the pairwise test is ``([m], ns)``, and
     a witness is ``(parts[:-1], parts[-1:])``.  Every int is below ``bound``.
-    A plain class, not a ``core.frozen`` value class: nothing compares,
-    hashes or prints it, and its rows are an iterator that is read once.
+    The text comes one chunk per row, and the rows are read once.
     """
-
-    def __init__(self, rows: Iterator[tuple[list[int], list[int]]], bound: int) -> None:
-        self.rows = rows
-        self.bound = bound
-
-
-def _int_array_chunks(node: _IntArrays) -> Iterator[str]:
-    """``node`` as ``json.dumps`` lays it out, one chunk per row."""
-    dec = [str(i) for i in range(node.bound)]
+    dec = [str(i) for i in range(bound)]
     dec_sep = [d + ", " for d in dec]
     sep = "["
-    for lead, lasts in node.rows:
+    for lead, lasts in rows:
         head = "[" + "".join(map(dec_sep.__getitem__, lead))
         yield sep + head + ("], " + head).join(map(dec.__getitem__, lasts)) + "]"
         sep = ", "
@@ -204,48 +197,37 @@ def _flatten(prefix: str, node, writer) -> None:
     if isinstance(node, dict):
         for key, value in node.items():
             _flatten(f"{prefix}.{key}" if prefix else key, value, writer)
-    elif isinstance(node, _IntArrays):
-        # The text holds no quote or line break, so ``csv.writer`` quotes it
-        # iff it holds a comma; after the first two chunks it must, if ever.
-        # Keys are plain dotted names, which the writer never quotes.
-        chunks = _int_array_chunks(node)
-        head = next(chunks) + next(chunks, "")
+    elif isinstance(node, Iterator):
+        # An ``_int_arrays`` text, which holds no quote or line break, so
+        # ``csv.writer`` quotes it iff it holds a comma; after the first two
+        # chunks it must, if ever.  Keys are plain dotted names, which the
+        # writer never quotes.
+        head = next(node) + next(node, "")
         quote = '"' if "," in head else ""
-        write = sys.stdout.write
-        write(f"{prefix},{quote}{head}")
-        for chunk in chunks:
-            write(chunk)
-        write(f"{quote}\n")
+        sys.stdout.write(f"{prefix},{quote}{head}")
+        sys.stdout.writelines(node)
+        sys.stdout.write(f"{quote}\n")
     else:
         writer.writerow((prefix, json.dumps(node)))
 
 
-def _json_chunks(node, write) -> None:
-    """Pass ``node`` to ``write`` laid out as ``json.dumps(node)``.
-
-    Objects are walked key by key, so that an ``_IntArrays`` below them is
-    rendered row by row; any other value is one ``json.dumps`` call.  Object
-    keys must be strings.
-    """
-    if isinstance(node, dict):
-        write("{")
-        sep = ""
-        for key, value in node.items():
-            write(f"{sep}{json.dumps(key)}: ")
-            _json_chunks(value, write)
-            sep = ", "
-        write("}")
-    elif isinstance(node, _IntArrays):
-        for chunk in _int_array_chunks(node):
-            write(chunk)
-    else:
-        write(json.dumps(node))
-
-
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        _json_chunks(report, sys.stdout.write)
-        sys.stdout.write("\n")
+        held = []
+
+        def hold(node):
+            # The report's one ``_int_arrays`` text stands as "\0", which no
+            # other report value is; anything else is refused as json.dumps
+            # refuses it.
+            if held or not isinstance(node, Iterator):
+                raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+            held.append(node)
+            return "\0"
+
+        head, _, tail = json.dumps(report, default=hold).partition('"\\u0000"')
+        # The line break is a write of its own, so that an unbuffered stdout
+        # that a closing reader cuts short fails on it (see ``_spline``).
+        sys.stdout.writelines(itertools.chain([head], *held, [tail, "\n"]))
         return
     import csv
 
@@ -254,7 +236,7 @@ def _emit(report: dict, fmt: str) -> None:
     _flatten("", report, writer)
 
 
-def _witnesses(hull) -> _IntArrays:
+def _witnesses(hull) -> Iterator[str]:
     # ``hull`` is a ``HullResult`` or a ``Decomposition``.
     # Checked while the report is built, so that a refusal comes before any
     # output and any --out-v/--out-w file; the rows are rendered later.
@@ -265,7 +247,7 @@ def _witnesses(hull) -> _IntArrays:
             parts = list(hull.witness_parts(n))
             yield parts[:-1], parts[-1:]
 
-    return _IntArrays(rows(), len(hull.last_part) + 1)
+    return _int_arrays(rows(), len(hull.last_part) + 1)
 
 
 def _check_convex(u: Sequence, args, tol: ToleranceConfig):
@@ -375,14 +357,13 @@ def _decompose(u: Sequence, args, tol: ToleranceConfig):
 
 
 def _check_subadd(u: Sequence, args, tol: ToleranceConfig):
-    classification = classify(u, tol).as_dict()
     if args.eps is None:
         # ``ok`` precedes ``violations`` in the report: peek at the first
         # failing row, then stream it and the rest.
         rows = pairwise_violation_rows(u, tol)
         first = next(rows, None)
         ok = first is None
-        violations = () if ok else _IntArrays(
+        violations = () if ok else _int_arrays(
             (([m], ns) for m, ns in itertools.chain([first], rows)), len(u) + 1
         )
         mode, eps, gap = "pairwise", None, None
@@ -391,8 +372,10 @@ def _check_subadd(u: Sequence, args, tol: ToleranceConfig):
         gap = epsilon_star(u)
         ok = gap <= eps
         mode, violations = "approx", None
+    # Classified after the test, so that the test's own refusals (index
+    # base, hull overflow) are the ones named.
     return ok, {
-        "classification": classification,
+        "classification": classify(u, tol).as_dict(),
         "subadditivity": {
             "mode": mode,
             "ok": ok,

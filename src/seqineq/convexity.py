@@ -380,7 +380,9 @@ def certify_convexity(
     pair.  If that pair's terms ``u[n] - u[m]`` or ``v[n] * (n - m)``
     overflow, a ``ValueError`` names the pair: an infinite term makes the
     slack infinite or the comparison nan, so the float verdict says
-    nothing.  The three verdicts agree on any input whose margins are not at
+    nothing.  The canonical candidate is nondecreasing by construction, so
+    the monotonicity half of :func:`verify_support` always passes and is not
+    run.  The three verdicts agree on any input whose margins are not at
     the tolerance boundary; a disagreement is raised as an internal error
     rather than folded into the certificate.
     """
@@ -398,7 +400,7 @@ def certify_convexity(
                     f"support check overflows at (m, n) = ({m}, {n}): u[{n}] - u[{m}] = {x!r}, "
                     f"v[{n}] = {vn!r}, v[{n}] * ({n} - {m}) = {y!r}"
                 )
-        support_ok = pair is None and not _monotonicity_violations(support, tol)
+        support_ok = pair is None
     else:
         support = None
         support_ok = True

@@ -321,9 +321,9 @@ ALTERNATING = "1.7e308\n-1.7e308\n1.7e308\n-1.7e308\n"
         (["hull"], HULL_OVERFLOW),
         (["epsilon"], HULL_OVERFLOW),
         (["decompose"], HULL_OVERFLOW),
-        # check-subadd classifies the input first; its second differences
-        # overflow before the hull is built.
-        (["check-subadd", "--eps", "1"], "second difference of u[1..3] overflows"),
+        # check-subadd builds the hull before it classifies the input, whose
+        # second differences overflow too.
+        (["check-subadd", "--eps", "1"], HULL_OVERFLOW),
         (["spline"], "quadratic piece at n=2 overflows"),
         (["spline", "--format", "csv"], "quadratic piece at n=2 overflows"),
         (["check-convex"], SUPPORT_CHECK_OVERFLOW),
@@ -339,6 +339,19 @@ def test_overflow_is_named_on_finite_input(tmp_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check-subadd"], ["check-subadd", "--eps", "1"], ["hull"], ["epsilon"], ["decompose"]],
+)
+def test_subadditivity_names_its_index_base_before_classifying(tmp_path, capsys, argv):
+    # 2 * u[1] overflows, so classifying this input first names an overflow.
+    path = _write(tmp_path, "base0.csv", "# start_index=0\n1\n1.7e308\n1\n1\n")
+    assert run_cli([argv[0], path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: subadditivity requires index base 1\n"
 
 
 def test_classification_agrees_with_the_defining_leg(tmp_path, capsys):

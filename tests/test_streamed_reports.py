@@ -4,8 +4,8 @@ before any output, and working memory far below the report's size.
 ``hull`` and ``decompose`` render witnesses, and ``check-subadd`` renders
 pairwise violations, one row at a time.  Their output must equal
 ``json.dumps(report)`` and ``csv.writer`` over the report built in full from
-the library, on both row paths and on the edge cases of the row renderer:
-no violations, and a single entry.
+the library, on both row paths, under both JSON encoders, and on the edge
+cases of the row renderer: no violations, and a single entry.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from seqineq import (
     subadditive_hull,
     write_sequence,
 )
-from seqineq.cli import _base_report, run_cli
+from seqineq.cli import _base_report, _emit, _int_arrays, run_cli
 from seqineq.core import PURE_ROWS_MAX_N
 
 TOL = ToleranceConfig()
@@ -110,14 +110,19 @@ def _expected(command: str, u: Sequence, fmt: str) -> tuple[int, str, str]:
     return code, text, ""
 
 
-def _check(tmp_path, capsys, command: str, values: tuple[float, ...]) -> None:
+def _check(tmp_path, capsys, command: str, values: tuple[float, ...], c_encoder=True) -> None:
     u = Sequence(values, 1)
     path = tmp_path / "u.json"
     write_sequence(path, u)
     for fmt in ("json", "csv"):
-        code = run_cli(["--format", fmt, command, str(path)])
+        expected = _expected(command, u, fmt)
+        with pytest.MonkeyPatch.context() as mp:
+            if not c_encoder:
+                # As on an interpreter built without the _json accelerator.
+                mp.setattr(json.encoder, "c_make_encoder", None)
+            code = run_cli(["--format", fmt, command, str(path)])
         captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == _expected(command, u, fmt), fmt
+        assert (code, captured.out, captured.err) == expected, fmt
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -125,6 +130,28 @@ def _check(tmp_path, capsys, command: str, values: tuple[float, ...]) -> None:
 def test_streamed_report_is_the_materialised_report(tmp_path, capsys, command, family, length):
     rng = random.Random(f"streamed-{family}-{length}")
     _check(tmp_path, capsys, command, FAMILIES[family](rng, length))
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("family, length", CASES)
+def test_streamed_report_under_the_pure_python_encoder(tmp_path, capsys, command, family, length):
+    # The streamed array is spliced in where json.dumps's ``default`` hook
+    # met it; the pure-Python encoder must call the hook as the C one does.
+    rng = random.Random(f"streamed-{family}-{length}")
+    _check(tmp_path, capsys, command, FAMILIES[family](rng, length), c_encoder=False)
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, b"x", 1j, range(3), iter(["[]"])])
+def test_json_report_refuses_what_json_dumps_refuses(capsys, value):
+    # The report's one streamed array is held back; a value of any other
+    # type, or a second streamed array, is refused with json.dumps's error.
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value)
+    report = {"a": _int_arrays(iter([([1], [2])]), 3), "b": {"c": value}}
+    with pytest.raises(TypeError) as got:
+        _emit(report, "json")
+    assert str(got.value) == str(expected.value)
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -188,8 +215,15 @@ class _CountingSink(io.TextIOBase):
         return len(text)
 
 
-@pytest.mark.parametrize("command, code", [("check-subadd", 1), ("hull", 0), ("decompose", 0)])
-def test_streamed_report_peak_is_below_half_its_size(tmp_path, monkeypatch, command, code):
+@pytest.mark.parametrize(
+    "fmt, command, code",
+    [
+        pytest.param(fmt, command, code, id=f"{command}-{code}{suffix}")
+        for fmt, suffix in (("json", ""), ("csv", "-csv"))
+        for command, code in (("check-subadd", 1), ("hull", 0), ("decompose", 0))
+    ],
+)
+def test_streamed_report_peak_is_below_half_its_size(tmp_path, monkeypatch, fmt, command, code):
     # numpy is loaded before tracing starts: its import is not report memory.
     import numpy  # noqa: F401
 
@@ -199,7 +233,7 @@ def test_streamed_report_peak_is_below_half_its_size(tmp_path, monkeypatch, comm
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
     try:
-        assert run_cli([command, str(path)]) == code
+        assert run_cli(["--format", fmt, command, str(path)]) == code
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
