@@ -24,10 +24,21 @@ once, imports the analysis module, calls the builder, writes the report and
 turns the verdict into the exit code.  ``epsilon`` and ``spline --format
 csv`` write their own output instead of a report.
 
+The command line is parsed from the same tables: ``_COMMANDS``' options
+and ``_SHARED`` (``--abs-tol``, ``--rel-tol``, ``--format``).  The rules,
+the messages and the help layout are those of the standard library's
+command-line parser, which is not imported.  Shared options go before or
+after the command; a value is ``--flag value`` or ``--flag=value``; a
+unique prefix names a flag (``--he`` is ``--help``); ``--`` ends the
+options; a negative number is a value; the last of a repeated option wins.
+``-h``/``--help`` prints the help of the program or of the command it
+follows and exits 0.
+
 A process imports only the analysis module of its command
 (``convexity``, ``interpolation`` or ``subadditivity``), after the input
-has been read, so ``--help`` and input refusals import none of them, and
-``csv`` is imported only for a ``--format csv`` report.  The names the
+has been read, so ``--help`` and input refusals import none of them;
+``csv`` is imported only for a ``--format csv`` report, and ``json`` only
+where a JSON document is read or written.  The names the
 builders call are bound in this module when the command runs, unless a
 name is bound already (by a wrapper or a test's patch); an outside lookup
 such as ``cli.certify_convexity`` imports and binds them the same way.
@@ -81,11 +92,10 @@ and its convexity class exactly, in integers.
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import itertools
-import json
 import os
+import re
 import sys
 import warnings
 from collections.abc import Iterator
@@ -148,20 +158,15 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    # Exit code 2 wants a one-line diagnostic, not argparse's usage dump.
-    def error(self, message):
-        raise _UsageError(message)
-
-
 def load_report_schema() -> dict:
     """The JSON schema that every report document conforms to."""
     import importlib.resources
+    import json
 
     text = (
         importlib.resources.files("seqineq")
         .joinpath("schemas/report.schema.json")
-        .read_text()
+        .read_text(encoding="utf-8")
     )
     return json.loads(text)
 
@@ -208,11 +213,15 @@ def _flatten(prefix: str, node, writer) -> None:
         sys.stdout.writelines(node)
         sys.stdout.write(f"{quote}\n")
     else:
+        import json
+
         writer.writerow((prefix, json.dumps(node)))
 
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
+        import json
+
         held = []
 
         def hold(node):
@@ -250,7 +259,7 @@ def _witnesses(hull) -> Iterator[str]:
     return _int_arrays(rows(), len(hull.last_part) + 1)
 
 
-def _check_convex(u: Sequence, args, tol: ToleranceConfig):
+def _check_convex(u: Sequence, opts: dict, tol: ToleranceConfig):
     cert = certify_convexity(u, tol)
     return cert.is_convex, {
         "classification": classify(u, tol).as_dict(),
@@ -264,7 +273,7 @@ def _check_convex(u: Sequence, args, tol: ToleranceConfig):
     }
 
 
-def _support(u: Sequence, args, tol: ToleranceConfig):
+def _support(u: Sequence, opts: dict, tol: ToleranceConfig):
     s = support_sequence(u)
     return True, {
         "support": {
@@ -276,15 +285,15 @@ def _support(u: Sequence, args, tol: ToleranceConfig):
     }
 
 
-def _spline(u: Sequence, args, tol: ToleranceConfig):
-    per_unit = args.samples
+def _spline(u: Sequence, opts: dict, tol: ToleranceConfig):
+    per_unit = opts["samples"]
     if per_unit < 1:
         raise ValueError("--samples must be at least 1")
     if len(u) < 3:
         raise ValueError("sequence too short")
     pieces = [quadratic_piece(u, n) for n in range(u.start_index + 1, u.last_index)]
     samples = spline_samples(pieces, per_unit)
-    if args.format == "csv":
+    if opts["format"] == "csv":
         # What csv.writer writes for these rows: a float repr holds no
         # comma, quote or line break, so no field is quoted.
         lines = [
@@ -310,7 +319,7 @@ def _spline(u: Sequence, args, tol: ToleranceConfig):
     }
 
 
-def _lagrange(u: Sequence, args, tol: ToleranceConfig):
+def _lagrange(u: Sequence, opts: dict, tol: ToleranceConfig):
     p = lagrange_polynomial(u)
     if len(u) >= 2:
         lo, hi = float(u.start_index), float(u.last_index)
@@ -329,17 +338,17 @@ def _lagrange(u: Sequence, args, tol: ToleranceConfig):
     }
 
 
-def _hull(u: Sequence, args, tol: ToleranceConfig):
+def _hull(u: Sequence, opts: dict, tol: ToleranceConfig):
     result = subadditive_hull(u)
     return True, {"hull": {"v": result.v.values, "witnesses": _witnesses(result)}}
 
 
-def _epsilon(u: Sequence, args, tol: ToleranceConfig):
+def _epsilon(u: Sequence, opts: dict, tol: ToleranceConfig):
     print(repr(epsilon_star(u)))
     return True, None
 
 
-def _decompose(u: Sequence, args, tol: ToleranceConfig):
+def _decompose(u: Sequence, opts: dict, tol: ToleranceConfig):
     split = decompose(u)
     sections = {
         "decomposition": {
@@ -349,15 +358,15 @@ def _decompose(u: Sequence, args, tol: ToleranceConfig):
             "witnesses": _witnesses(split),
         },
     }
-    if args.out_v:
-        write_sequence(args.out_v, split.v)
-    if args.out_w:
-        write_sequence(args.out_w, split.w)
+    if opts["out_v"]:
+        write_sequence(opts["out_v"], split.v)
+    if opts["out_w"]:
+        write_sequence(opts["out_w"], split.w)
     return True, sections
 
 
-def _check_subadd(u: Sequence, args, tol: ToleranceConfig):
-    if args.eps is None:
+def _check_subadd(u: Sequence, opts: dict, tol: ToleranceConfig):
+    if opts["eps"] is None:
         # ``ok`` precedes ``violations`` in the report: peek at the first
         # failing row, then stream it and the rest.
         rows = pairwise_violation_rows(u, tol)
@@ -368,7 +377,7 @@ def _check_subadd(u: Sequence, args, tol: ToleranceConfig):
         )
         mode, eps, gap = "pairwise", None, None
     else:
-        eps = check_epsilon(args.eps)
+        eps = check_epsilon(opts["eps"])
         gap = epsilon_star(u)
         ok = gap <= eps
         mode, violations = "approx", None
@@ -387,10 +396,13 @@ def _check_subadd(u: Sequence, args, tol: ToleranceConfig):
 
 
 # name -> (help, analysis module, builder, options of its own).  A builder
-# takes the input, the parsed arguments and the tolerance, and returns
-# ``(ok, sections)``: the report sections that follow the base report, or
-# None when it has written its own output.  ``run_cli`` imports the module
-# and does the rest.
+# takes the input, the option values by name (``opts["samples"]`` for
+# ``--samples``) and the tolerance, and returns ``(ok, sections)``: the
+# report sections that follow the base report, or None when it has written
+# its own output.  An option is a dict with a ``help`` text and optionally a
+# ``type`` that converts its value, ``choices`` and a ``default`` (None if
+# absent).  ``run_cli`` parses the command line, imports the module and
+# does the rest.
 _COMMANDS = {
     "check-convex": ("certify or refute convexity", "convexity", _check_convex, {}),
     "support": ("support (subgradient) sequence", "convexity", _support, {}),
@@ -409,43 +421,189 @@ _COMMANDS = {
     }),
 }
 
+# The options of every command, accepted before the command too.
+_SHARED = {
+    "--abs-tol": {
+        "type": float,
+        "default": DEFAULT_TOLERANCE.abs_tol,
+        "help": "absolute slack for inequality checks (default 1e-9)",
+    },
+    "--rel-tol": {
+        "type": float,
+        "default": DEFAULT_TOLERANCE.rel_tol,
+        "help": "relative slack for inequality checks (default 1e-9)",
+    },
+    "--format": {"choices": ("json", "csv"), "default": "json", "help": "report style (default json)"},
+}
 
-def _build_parser() -> argparse.ArgumentParser:
-    # Shared options are declared on the main parser and on every subparser
-    # (with SUPPRESS defaults) so they are accepted in either position;
-    # ``run_cli`` supplies their defaults.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--abs-tol",
-        type=float,
-        default=argparse.SUPPRESS,
-        help="absolute slack for inequality checks (default 1e-9)",
-    )
-    common.add_argument(
-        "--rel-tol",
-        type=float,
-        default=argparse.SUPPRESS,
-        help="relative slack for inequality checks (default 1e-9)",
-    )
-    common.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default=argparse.SUPPRESS,
-        help="report style (default json)",
-    )
 
-    parser = _Parser(
-        prog="seqineq",
-        parents=[common],
-        description="Analyze a finite real sequence for convexity and subadditivity.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, (help_text, _, _, options) in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("file")
-        for flag, kwargs in options.items():
-            p.add_argument(flag, **kwargs)
-    return parser
+def _options(command: str | None) -> dict:
+    # The options of the program (command None) or of a command.
+    return _SHARED if command is None else {**_SHARED, **_COMMANDS[command][3]}
+
+
+def _name(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _help(command: str | None) -> str:
+    """The help of the program (command None) or of a command, laid out as
+    the standard library's parser lays it out at 80 columns."""
+    prog = "seqineq" if command is None else f"seqineq {command}"
+    rows = [("-h, --help", "show this help message and exit")]
+    for flag, spec in _options(command).items():
+        choices = spec.get("choices")
+        metavar = "{" + ",".join(choices) + "}" if choices else _name(flag).upper()
+        rows.append((f"{flag} {metavar}", spec["help"]))
+    # The usage wraps at 78 characters, under its first option.
+    indent = " " * (len(prog) + 8)
+    lines = ["usage: " + prog]
+    for part in ["[-h]", *(f"[{head}]" for head, _ in rows[1:])]:
+        if len(lines[-1]) + 1 + len(part) > 78:
+            lines.append(indent + part)
+        else:
+            lines[-1] += " " + part
+    if command is None:
+        lines += [indent + "command ...", "", "Analyze a finite real sequence for convexity and subadditivity."]
+        positionals = [("  command", None), *((f"    {name}", entry[0]) for name, entry in _COMMANDS.items())]
+    else:
+        lines.append(indent + "file")
+        positionals = [("  file", None)]
+    rows = [(f"  {head}", text) for head, text in rows]
+    column = max(len(head) for head, text in positionals + rows) + 2
+    for title, section in (("positional arguments:", positionals), ("options:", rows)):
+        lines += ["", title]
+        lines += [head.ljust(column) + text if text else head for head, text in section]
+    return "\n".join(lines) + "\n"
+
+
+def _classify(arg: str, flags) -> tuple[str | None, str | None] | None:
+    """What ``arg`` is among ``flags``: None for a positional, else
+    ``(flag, value)`` with flag None for an unknown option and value the
+    text joined to the flag (``--flag=value``, ``-hVALUE``) or None.
+
+    The rules are the standard library parser's: a unique prefix of a long
+    flag names it, and a negative number or a word with a space is a
+    positional.
+    """
+    if arg in flags:
+        return arg, None
+    if arg[:1] != "-" or len(arg) == 1:
+        return None
+    flag, eq, value = arg.partition("=")
+    if eq and flag in flags:
+        return flag, value
+    if arg[1] == "-":
+        matches = [name for name in flags if name.startswith(flag)]
+        if len(matches) > 1:
+            raise _UsageError(f"ambiguous option: {arg} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif arg[1] == "h":
+        return "-h", arg[2:]
+    if re.match(r"-\d+$|-\d*\.\d+$", arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _check_choice(name: str, value, choices) -> None:
+    if value not in choices:
+        listed = ", ".join(map(repr, choices))
+        raise _UsageError(f"argument {name}: invalid choice: {value!r} (choose from {listed})")
+
+
+class _Help(Exception):
+    """-h or --help, met among the options of the command ``args[0]``
+    (None: the program's)."""
+
+
+def _scan(args: list[str], command: str | None, opts: dict, extras: list[str]) -> list[str] | str | None:
+    """Read the options of the program (command None) or of a command.
+
+    Option values go into ``opts``, unknown options and surplus positionals
+    into ``extras``.  Returns the program's arguments from its command on,
+    or the command's file; None if there is none.  Up to ``--`` every
+    argument is classified first, so that an ambiguous one is refused
+    before any other; after it every argument is a positional.
+    """
+    options = _options(command)
+    flags = ("-h", "--help", *options)
+    end = args.index("--") if "--" in args else len(args)
+    kinds = [_classify(arg, flags) for arg in args[:end]]
+    file = file_at = None
+    i = 0
+    while i < len(args):
+        arg, at = args[i], i
+        i += 1
+        if at >= end or kinds[at] is None:
+            if command is None:
+                # The command takes the rest; a "--" with nothing after it
+                # is no command.
+                if at != end or i < len(args):
+                    return args[at:]
+            elif at == end:
+                # "--" goes with the file right before or after it.
+                if file is not None and file_at != end - 1:
+                    extras.append(arg)
+            elif file is None:
+                file, file_at = arg, at
+            else:
+                extras.append(arg)
+            continue
+        flag, value = kinds[at]
+        if flag is None:
+            extras.append(arg)
+        elif flag in ("-h", "--help"):
+            # A value joined to -h or --help is refused, save more h's:
+            # "-hh" is -h twice.
+            if value is not None:
+                rest = value.lstrip("h") if flag == "-h" else value
+                if rest or not value:
+                    raise _UsageError(f"argument -h/--help: ignored explicit argument {rest!r}")
+            raise _Help(command)
+        else:
+            if value is None:
+                if i >= end or kinds[i] is not None:
+                    raise _UsageError(f"argument {flag}: expected one argument")
+                value = args[i]
+                i += 1
+            spec = options[flag]
+            convert = spec.get("type")
+            if convert is not None:
+                try:
+                    value = convert(value)
+                except ValueError:
+                    raise _UsageError(f"argument {flag}: invalid {convert.__name__} value: {value!r}") from None
+            if "choices" in spec:
+                _check_choice(flag, value, spec["choices"])
+            opts[_name(flag)] = value
+    return file
+
+
+def _parse(argv: list[str]) -> tuple[str | None, dict | None]:
+    """The command and its option values, with the input path as ``file``.
+
+    Shared options go before or after the command; the last of a repeated
+    option wins.  For -h or --help the values are None, and the command is
+    that of the help asked for (None for the program's).
+    """
+    opts = {_name(flag): spec.get("default") for flag, spec in _SHARED.items()}
+    extras: list[str] = []
+    try:
+        line = _scan(argv, None, opts, extras)
+        if line is None:
+            raise _UsageError("the following arguments are required: command")
+        command = line[0]
+        _check_choice("command", command, _COMMANDS)
+        opts.update((_name(flag), spec.get("default")) for flag, spec in _COMMANDS[command][3].items())
+        opts["file"] = _scan(line[1:], command, opts, extras)
+    except _Help as exc:
+        return exc.args[0], None
+    if opts["file"] is None:
+        raise _UsageError("the following arguments are required: file")
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return command, opts
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
@@ -455,27 +613,24 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 def run_cli(argv: list[str]) -> int:
     """Run one command line; returns the exit code instead of raising."""
-    parser = _build_parser()
-    defaults = argparse.Namespace(
-        abs_tol=DEFAULT_TOLERANCE.abs_tol, rel_tol=DEFAULT_TOLERANCE.rel_tol, format="json"
-    )
     try:
-        args = parser.parse_args(argv, defaults)
-        tol = ToleranceConfig(args.abs_tol, args.rel_tol)
-        with warnings.catch_warnings():
-            warnings.showwarning = _show_warning
-            u = read_sequence(args.file)
-            _, module, build, _ = _COMMANDS[args.command]
-            _bind(module)
-            ok, sections = build(u, args, tol)
-            if sections is not None:
-                _emit({**_base_report(args.command, u, tol), **sections}, args.format)
+        command, opts = _parse(argv)
+        ok = True
+        if opts is None:
+            sys.stdout.write(_help(command))
+        else:
+            tol = ToleranceConfig(opts["abs_tol"], opts["rel_tol"])
+            with warnings.catch_warnings():
+                warnings.showwarning = _show_warning
+                u = read_sequence(opts["file"])
+                _, module, build, _ = _COMMANDS[command]
+                _bind(module)
+                ok, sections = build(u, opts, tol)
+                if sections is not None:
+                    _emit({**_base_report(command, u, tol), **sections}, opts["format"])
         # A closed stdout must show here, not in the exit-time flush.
         sys.stdout.flush()
         return EXIT_OK if ok else EXIT_PROPERTY_FAILED
-    except SystemExit as exc:
-        # --help exits through argparse with code 0.
-        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     except BrokenPipeError:
         # The reader has gone (``| head``).  As the ``signal`` docs advise,
         # point stdout at devnull so that the exit-time flush prints nothing.

@@ -14,7 +14,6 @@ cycle reproduces every value bit for bit.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 
@@ -45,6 +44,8 @@ def parse_sequence_csv(text: str) -> Sequence:
 
 
 def parse_sequence_json(text: str) -> Sequence:
+    import json
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -71,6 +72,8 @@ def format_sequence_csv(u: Sequence) -> str:
 
 
 def format_sequence_json(u: Sequence) -> str:
+    import json
+
     return json.dumps({"start_index": u.start_index, "values": list(u.values)}) + "\n"
 
 
@@ -94,5 +97,5 @@ def read_sequence(path: str | os.PathLike) -> Sequence:
 def write_sequence(path: str | os.PathLike, u: Sequence) -> None:
     """Write a sequence file, picking the format from the extension."""
     text = format_sequence_json(u) if _is_json_path(path) else format_sequence_csv(u)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

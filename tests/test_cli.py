@@ -262,6 +262,23 @@ def test_decompose_writes_round_trip_files(tmp_path, capsys):
     assert tuple(a + b for a, b in zip(v.values, w.values)) == u.values
 
 
+def test_files_are_written_and_read_without_the_locale_encoding(tmp_path):
+    # -X warn_default_encoding warns, on stderr, at every text open that
+    # leaves the encoding to the locale.
+    _write(tmp_path, "u.csv", "1\n3\n2\n5\n4\n")
+    runs = [
+        ["-m", "seqineq.cli", "decompose", "u.csv", "--out-v", "v.csv", "--out-w", "w.json"],
+        ["-c", "from seqineq.cli import load_report_schema; load_report_schema()"],
+    ]
+    for args in runs:
+        proc = _python("-X", "warn_default_encoding", *args, cwd=tmp_path,
+                       stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, "")
+    assert read_sequence(str(tmp_path / "v.csv")).values == (1.0, 2.0, 2.0, 3.0, 4.0)
+    assert read_sequence(str(tmp_path / "w.json")).values == (0.0, 1.0, 0.0, 2.0, 0.0)
+
+
 # ------------------------------------------------------------------ exit codes
 
 def test_error_exits_with_one_line_diagnostic(tmp_path, capsys):
@@ -443,6 +460,57 @@ def test_an_option_of_another_command_is_refused(tmp_path, capsys, argv):
     assert captured.err == f"error: unrecognized arguments: {' '.join(argv[1:])}\n"
 
 
+# Forms of a command line with the exit code, the stderr and the start of
+# stdout that argparse gave them.  margin.csv is convex only under
+# --abs-tol 0.5 (exit 0 rather than 1), so each case shows whether the
+# tolerance was read.
+CHOICES = "'check-convex', 'support', 'spline', 'lagrange', 'hull', 'epsilon', 'decompose', 'check-subadd'"
+ARGV_FORMS = [
+    # a unique prefix, --flag=value, shared options in either position
+    (["--abs", "0.5", "check-convex", "margin.csv"], 0, "", "{"),
+    (["check-convex", "margin.csv", "--abs-tol=0.5"], 0, "", "{"),
+    (["--format=csv", "check-convex", "margin.csv"], 1, "", "key,value"),
+    (["decompose", "u.csv", "--out", "x"], 2, "ambiguous option: --out could match --out-v, --out-w", ""),
+    # -- ends the options
+    (["check-convex", "--", "margin.csv"], 1, "", "{"),
+    (["check-convex", "--format", "csv", "--", "margin.csv"], 1, "", "key,value"),
+    # and goes with the file next to it; after the file, anywhere else,
+    # it is an argument too many
+    (["check-convex", "margin.csv", "--", "--format", "csv"], 2, "unrecognized arguments: --format csv", ""),
+    (["check-convex", "margin.csv", "--format", "csv", "--"], 2, "unrecognized arguments: --", ""),
+    # help anywhere, for the command it follows
+    (["check-convex", "margin.csv", "--he"], 0, "", "usage: seqineq check-convex "),
+    # negative values
+    (["check-subadd", "u.csv", "--eps=-1"], 2, "epsilon must be finite and nonnegative", ""),
+    (["spline", "u.csv", "--samples", "-3"], 2, "--samples must be at least 1", ""),
+    (["check-convex", "margin.csv", "-x"], 2, "unrecognized arguments: -x", ""),
+    (["check-convex"], 2, "the following arguments are required: file", ""),
+    ([], 2, "the following arguments are required: command", ""),
+    (["check-convex", "margin.csv", "--format"], 2, "argument --format: expected one argument", ""),
+    (["--format", "xml", "check-convex", "margin.csv"], 2,
+     "argument --format: invalid choice: 'xml' (choose from 'json', 'csv')", ""),
+    (["--abs-tol", "abc", "check-convex", "margin.csv"], 2, "argument --abs-tol: invalid float value: 'abc'", ""),
+    (["spline", "u.csv", "--samples", "2.5"], 2, "argument --samples: invalid int value: '2.5'", ""),
+    (["check-conv", "margin.csv"], 2, f"argument command: invalid choice: 'check-conv' (choose from {CHOICES})", ""),
+    (["check-convex", "margin.csv", "u.csv"], 2, "unrecognized arguments: u.csv", ""),
+    # the last of a repeated option wins
+    (["--abs-tol", "0.5", "check-convex", "margin.csv", "--abs-tol", "0"], 1, "", "{"),
+    (["check-convex", "margin.csv", "--abs-tol", "0", "--abs-tol", "0.5"], 0, "", "{"),
+]
+
+
+@pytest.mark.parametrize("argv, code, err, out", ARGV_FORMS, ids=[" ".join(form[0]) or "-" for form in ARGV_FORMS])
+def test_command_line_forms_keep_their_meaning(tmp_path, capsys, monkeypatch, argv, code, err, out):
+    _write(tmp_path, "margin.csv", "# start_index=0\n0\n0.2\n0\n")
+    _write(tmp_path, "u.csv", "1\n3\n2\n5\n4\n")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {err}\n" if err else "")
+    assert captured.out.startswith(out)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["margin.csv", "u.csv"]
+
+
 def test_closed_stdout_exits_141_with_empty_stderr(tmp_path, monkeypatch):
     # The report (one line of about 0.96 MB) and the CSV (one write of about
     # 0.8 MB) are far larger than a pipe buffer, so the writer is still
@@ -609,12 +677,15 @@ def test_cli_import_leaves_out_dataclasses_and_single_use_modules():
     assert start_index == 1
 
 
-# What a process loads of the analysis modules and csv, diffed as above.
-# The command line runs as ``python -m seqineq.cli ARG...`` would run it.
+# What a process loads of the analysis modules, csv, json and the command
+# line parser that seqineq no longer uses (argparse, which brings gettext,
+# whose translation lookup brings locale), diffed as above.  The snapshot
+# comes before the probe imports json itself.  The command line runs as
+# ``python -m seqineq.cli ARG...`` would run it.
 FOOTPRINT_PROBE = """
-import io, json, runpy, sys
-watched = {"csv", "seqineq.convexity", "seqineq.interpolation",
-           "seqineq.subadditivity", "seqineq.polysign"}
+import io, runpy, sys
+watched = {"argparse", "csv", "gettext", "json", "locale", "seqineq.convexity",
+           "seqineq.interpolation", "seqineq.subadditivity", "seqineq.polysign"}
 before = set(sys.modules)
 out, sys.stdout, sys.stderr = sys.stdout, io.StringIO(), io.StringIO()
 sys.argv = ["seqineq", *sys.argv[1:]]
@@ -622,7 +693,9 @@ try:
     runpy.run_module("seqineq.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-out.write(json.dumps([code, sorted(watched & (set(sys.modules) - before))]))
+loaded = sorted(watched & (set(sys.modules) - before))
+import json
+out.write(json.dumps([code, loaded]))
 """
 
 
@@ -632,22 +705,26 @@ out.write(json.dumps([code, sorted(watched & (set(sys.modules) - before))]))
         (["--help"], 0, []),
         (["check-convex", "bad.csv"], 2, []),
         (["hull", "missing.csv"], 2, []),
-        (["check-convex", "u.csv"], 1, ["seqineq.convexity"]),
-        (["check-convex", "u.csv", "--format", "csv"], 1, ["csv", "seqineq.convexity"]),
-        (["support", "u.csv"], 0, ["seqineq.convexity"]),
-        (["spline", "u.csv"], 0, ["seqineq.interpolation"]),
+        (["check-convex", "u.csv"], 1, ["json", "seqineq.convexity"]),
+        (["check-convex", "u.csv", "--format", "csv"], 1, ["csv", "json", "seqineq.convexity"]),
+        (["support", "u.csv"], 0, ["json", "seqineq.convexity"]),
+        (["spline", "u.csv"], 0, ["json", "seqineq.interpolation"]),
         (["spline", "u.csv", "--format", "csv"], 0, ["seqineq.interpolation"]),
-        (["lagrange", "u.csv"], 0, ["seqineq.interpolation", "seqineq.polysign"]),
-        (["hull", "u.csv"], 0, ["seqineq.subadditivity"]),
-        (["hull", "u.csv", "--format", "csv"], 0, ["csv", "seqineq.subadditivity"]),
+        (["lagrange", "u.csv"], 0, ["json", "seqineq.interpolation", "seqineq.polysign"]),
+        (["hull", "u.csv"], 0, ["json", "seqineq.subadditivity"]),
+        (["hull", "u.csv", "--format", "csv"], 0, ["csv", "json", "seqineq.subadditivity"]),
         (["epsilon", "u.csv"], 0, ["seqineq.subadditivity"]),
-        (["decompose", "u.csv"], 0, ["seqineq.subadditivity"]),
-        (["check-subadd", "u.csv"], 1, ["seqineq.subadditivity"]),
-        (["check-subadd", "u.csv", "--eps", "1"], 1, ["seqineq.subadditivity"]),
+        (["decompose", "u.csv"], 0, ["json", "seqineq.subadditivity"]),
+        (["check-subadd", "u.csv"], 1, ["json", "seqineq.subadditivity"]),
+        (["check-subadd", "u.csv", "--eps", "1"], 1, ["json", "seqineq.subadditivity"]),
+        # json reads a JSON input; a usage refusal loads nothing.
+        (["epsilon", "u.json"], 0, ["json", "seqineq.subadditivity"]),
+        (["check-convex", "u.csv", "--format", "xml"], 2, []),
     ],
 )
 def test_a_command_loads_only_its_own_analysis_module(tmp_path, argv, code, loaded):
     _write(tmp_path, "u.csv", "1\n3\n2\n5\n4\n")
+    _write(tmp_path, "u.json", '{"values": [1, 3, 2, 5, 4]}')
     _write(tmp_path, "bad.csv", "1\ntwo\n")
     proc = _python("-c", FOOTPRINT_PROBE, *argv, cwd=tmp_path, stdout=subprocess.PIPE, text=True)
     out, _ = proc.communicate(timeout=60)
