@@ -69,14 +69,18 @@ array back behind a placeholder; its rows are written where the
 placeholder stands.  ``hull`` and ``decompose`` check the order of every
 witness from the parent pointers before writing anything.
 
-numpy is imported only by the three O(N^2) kernels, each by its own rule;
-``--help``, ``spline``, ``lagrange`` and input refusals never load it.
-Importing it takes roughly 100 ms.  ``lagrange`` computes the interpolant
-and its convexity class exactly, in integers.
+numpy is imported only by the two O(N^2) kernels of ``subadditivity``,
+each by its own rule; ``--help``, ``check-convex``, ``support``,
+``spline``, ``lagrange`` and input refusals never load it.  Importing it
+takes roughly 100 ms.  ``lagrange`` computes the interpolant and its
+convexity class exactly, in integers, and ``check-convex`` decides its
+three legs exactly, in integers, under one tolerance rule (see
+``seqineq.convexity``); its support leg is one walk along a lower convex
+hull, O(N) at any tolerance.
 
 * The pairwise check (``check-subadd`` without ``--eps``) runs pure-Python
-  rows up to ``PURE_ROWS_MAX_N`` (256) entries and numpy rows above, since
-  at N = 256 pure rows cost less than the import.
+  rows up to ``PURE_ROWS_MAX_N`` (256, in ``seqineq.subadditivity``)
+  entries and numpy rows above.
 * The subadditive hull (``hull``, ``decompose``, ``epsilon`` and
   ``check-subadd --eps``) scans candidate splits in pure Python, only the
   generators on integer input whose sums are exact, and switches to numpy
@@ -84,10 +88,6 @@ and its convexity class exactly, in integers.
   inputs with few generators, such as convex or random ones, never load
   numpy at N = 2000; a concave increasing one, where every index is a
   generator, loads it above about N = 1100.
-* Support verification: the support sequence is linear, so ``support``
-  never loads numpy, and ``check-convex`` runs the first support row that
-  the lower convex hull does not certify in pure Python and loads numpy
-  only for a second such row on inputs above ``PURE_ROWS_MAX_N`` entries.
 """
 
 from __future__ import annotations

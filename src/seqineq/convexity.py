@@ -9,16 +9,22 @@ package can cross-certify its own answers:
 * existence of a monotone support sequence v with
   ``u[n] - u[m] <= v[n] * (n - m)`` for all m, n (a discrete subgradient).
 
-:func:`certify_convexity` runs all three and insists that they agree; a
-disagreement beyond tolerance is a bug, not a property of the input.
+All three are decided under one tolerance rule, in exact integers
+(:func:`~seqineq.core.convexity_slack`): u is convex within tolerance iff
+``u + phi`` is convex, where phi is 0 at the first two indices and its
+second difference at n is the slack ``s_n = max(abs_tol, rel_tol *
+max(|2*u[n]|, |u[n-1] + u[n+1]|))``.  Each criterion is applied to
+``u + phi`` as it stands, with no further slack, so no verdict depends on
+rounding or overflow.  :func:`certify_convexity` runs all three and insists
+that they agree; a disagreement is a bug, not a property of the input.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from itertools import accumulate
 
-from .core import DEFAULT_TOLERANCE, PURE_ROWS_MAX_N, Sequence, ToleranceConfig, defining_sides, dyadic_integers, frozen
+from .core import DEFAULT_TOLERANCE, Sequence, ToleranceConfig, convexity_slack, frozen
 
 
 @frozen
@@ -27,7 +33,7 @@ class ConvexityReport:
 
     ``violations`` holds ``(n, defect)`` pairs for every interior absolute
     index n where ``2*u[n] > u[n-1] + u[n+1]`` beyond tolerance, with
-    ``defect = 2*u[n] - u[n-1] - u[n+1]``.
+    ``defect = 2*u[n] - u[n-1] - u[n+1]`` computed exactly and rounded once.
     """
 
     is_convex: bool
@@ -81,7 +87,13 @@ class SupportCheck:
 
 @frozen
 class ConvexityCertificate:
-    """Joint verdict of the three convexity criteria on one sequence."""
+    """Joint verdict of the three convexity criteria on one sequence.
+
+    ``support`` is :func:`support_sequence` of u, or None when u has fewer
+    than 2 entries or a step of u overflows.  ``support_ok`` is the support
+    leg's verdict on ``u + phi``, whose support sequence is the steps of
+    ``u + phi`` when it is convex (see :func:`certify_convexity`).
+    """
 
     defining: ConvexityReport
     slopes_ok: bool
@@ -94,23 +106,73 @@ class ConvexityCertificate:
         return self.defining.is_convex
 
 
+def _tilted(ys: list[int], slack: list[int]) -> tuple[list[int], list[int]]:
+    """``u + phi`` and the steps of phi, from :func:`~seqineq.core.convexity_slack`.
+
+    Returns ``(ty, lift)`` over the same denominator as ``ys``: ``ty[k]`` is
+    ``u + phi`` at the k-th entry, and ``lift[k]`` is phi's step from the
+    k-th entry to the next, the sum of the slacks at the interior entries
+    up to k.  ``lift`` has one entry per entry of u; the last repeats the
+    one before, as if the slack past the last entry were 0.
+    """
+    lift = list(accumulate([*slack, 0], initial=0))
+    steps = [b - a + rise for a, b, rise in zip(ys, ys[1:], lift)]
+    return list(accumulate(steps, initial=ys[0])), lift
+
+
+def _supporting_lines(ty: list[int]):
+    """Return ``holds(k, p, q)``: whether a line lies on or below every point.
+
+    The line passes through ``(k, ty[k])`` with slope ``p / q``, ``q > 0``.  It
+    lies below every point ``(m, ty[m])`` iff ``q*ty[m] - p*m`` is least at
+    m = k, and that least value is taken at a vertex of the lower convex
+    hull of the points.  The hull is built once with Andrew's monotone
+    chain, and one pointer walks along it to the vertex that attains the
+    minimum as the slope moves (both ways, so slopes that are not monotone
+    only cost more steps).  Everything is exact integer arithmetic.
+    """
+    hull: list[int] = []
+    for i, y in enumerate(ty):
+        while len(hull) >= 2:
+            i1, i2 = hull[-2], hull[-1]
+            if (ty[i2] - ty[i1]) * (i - i1) < (y - ty[i1]) * (i2 - i1):
+                break
+            hull.pop()  # i2 lies on or above the chord from i1 to i
+        hull.append(i)
+    hy = [ty[i] for i in hull]
+    top = len(hull) - 1
+    h = 0
+
+    def holds(k: int, p: int, q: int) -> bool:
+        nonlocal h
+        while h < top and q * (hy[h + 1] - hy[h]) < p * (hull[h + 1] - hull[h]):
+            h += 1
+        while h > 0 and q * (hy[h - 1] - hy[h]) < p * (hull[h - 1] - hull[h]):
+            h -= 1
+        return q * (ty[k] - hy[h]) <= p * (k - hull[h])
+
+    return holds
+
+
 def check_defining_inequality(
     u: Sequence, tol: ToleranceConfig = DEFAULT_TOLERANCE
 ) -> ConvexityReport:
-    """Check ``2*u[n] <= u[n-1] + u[n+1]`` at every interior index.
+    """Check ``2*u[n] <= u[n-1] + u[n+1] + s_n`` at every interior index.
 
-    A side, or the defect of a violation, that overflows is raised as a
-    ``ValueError`` naming ``u[n-1..n+1]`` (see :func:`~seqineq.core.defining_sides`).
+    The comparison is exact (see :func:`~seqineq.core.convexity_slack`), and
+    each violation's defect is the exact ``2*u[n] - u[n-1] - u[n+1]``,
+    rounded once.  A defect beyond the float range is raised as a
+    ``ValueError`` naming ``u[n-1..n+1]``.
     """
-    v = u.values
+    ys, slack, den = convexity_slack(u, tol)
     violations = []
-    for k, (twice, outer) in enumerate(defining_sides(u), 1):
-        if not tol.leq(twice, outer):
-            defect = twice - v[k - 1] - v[k + 1]
-            n = u.start_index + k
-            if math.isinf(defect):
-                raise ValueError(f"second difference of u[{n - 1}..{n + 1}] overflows")
-            violations.append((n, defect))
+    for n, x, y, z, s in zip(u.indices()[1:], ys, ys[1:], ys[2:], slack):
+        defect = 2 * y - x - z
+        if defect > s:
+            try:
+                violations.append((n, defect / den))
+            except OverflowError:
+                raise ValueError(f"second difference of u[{n - 1}..{n + 1}] overflows") from None
     return ConvexityReport(not violations, tuple(violations))
 
 
@@ -126,29 +188,28 @@ def check_three_point_slopes(
     tol: ToleranceConfig = DEFAULT_TOLERANCE,
     exhaustive: bool = False,
 ) -> SlopeCheck:
-    """Check that slopes are monotone across index triples.
+    """Check that the slopes of ``u + phi`` are monotone across index triples.
 
-    The default mode checks adjacent triples only, which is equivalent and
-    O(N).  ``exhaustive=True`` scans all ``n1 < n2 < n3`` in lexicographic
-    order and reports the first violating triple; it exists so the
-    equivalence of the criteria can be tested without shortcuts.
+    The default mode checks adjacent triples only, that is, that the steps
+    of ``u + phi`` are nondecreasing, which is equivalent and O(N).
+    ``exhaustive=True`` scans all ``n1 < n2 < n3`` in lexicographic order
+    and reports the first violating triple; it exists so the equivalence of
+    the criteria can be tested without shortcuts.  Both are exact.
     """
-    n = len(u)
-    if n < 3:
-        return SlopeCheck(True)
-    v = u.values
+    ys, slack, _ = convexity_slack(u, tol)
+    ty, _ = _tilted(ys, slack)
     base = u.start_index
+    n = len(ty)
     if exhaustive:
         for i in range(n - 2):
             for j in range(i + 1, n - 1):
-                left = (v[j] - v[i]) / (j - i)
+                rise, run = ty[j] - ty[i], j - i
                 for k in range(j + 1, n):
-                    right = (v[k] - v[j]) / (k - j)
-                    if not tol.leq(left, right):
+                    if rise * (k - j) > (ty[k] - ty[j]) * run:
                         return SlopeCheck(False, (base + i, base + j, base + k))
         return SlopeCheck(True)
     for j in range(1, n - 1):
-        if not tol.leq(v[j] - v[j - 1], v[j + 1] - v[j]):
+        if ty[j + 1] - ty[j] < ty[j] - ty[j - 1]:
             return SlopeCheck(False, (base + j - 1, base + j, base + j + 1))
     return SlopeCheck(True)
 
@@ -197,172 +258,47 @@ def support_sequence(u: Sequence) -> SupportSequence:
     )
 
 
-# Smallest rel_tol at which _row_certifier certifies rows: 8 units of
-# roundoff, twice what its rounding bound needs.
-_MIN_CERTIFIED_REL_TOL = 2.0**-50
-
-
-def _row_certifier(u: Sequence, tol: ToleranceConfig):
-    """Return a test ``certified(n, vn)`` that proves a support row passes.
-
-    Row n of :func:`verify_support` checks ``tol.leq(u[n] - u[m], vn * (n -
-    m))`` for every m.  In exact arithmetic the pair m holds by the margin
-    ``(u[m] - vn*m) - (u[n] - vn*n)``, and the row's smallest margin is
-    ``G = min_m (u[m] - vn*m) - (u[n] - vn*n) <= 0``, the gap between the
-    line through ``(n, u[n])`` with slope vn and the lower convex hull of
-    the points ``(m, u[m])``.  Every float is a dyadic rational, so the
-    points are scaled to integers by one power of two, the hull is built
-    once with Andrew's monotone chain, and one pointer walks along it to the
-    vertex that attains the minimum as vn moves (both ways, so a
-    non-monotone candidate only costs more steps).
-
-    The test is true only when ``-G <= |vn| * rel_tol / 2`` exactly and the
-    row's floats cannot overflow or underflow.  Then every pair passes: for
-    m != n, with ``x = fl(u[n] - u[m])``, ``y = fl(vn * (n - m))``, ``M =
-    max(|x|, |y|) >= |vn|`` and unit roundoff ``e = 2**-53``, ``x - y <= -G
-    + 2e/(1-e) * M <= (rel_tol/2 + 2e/(1-e)) * M``, which for ``rel_tol >=
-    8e`` is below ``rel_tol * M * (1-e)``, a lower bound on the slack.  So
-    ``x <= y + slack`` holds exactly, and rounding the sum cannot take it
-    below the float x.  At m = n both sides are zero, and for vn = 0 the
-    test demands G = 0, which makes every x <= 0.  Smaller or absolute-only
-    tolerances, non-finite slopes and near-overflow or near-underflow
-    magnitudes certify nothing, and such rows run in full.
-    """
-    vals = u.values
-    # Entries up to 2**1022 keep every u[n] - u[m] finite.
-    if tol.rel_tol < _MIN_CERTIFIED_REL_TOL or max(map(abs, vals)) > 2.0**1022:
-        return lambda n, vn: False
-    ys, den = dyadic_integers(vals)
-    hull: list[int] = []
-    for i, y in enumerate(ys):
-        while len(hull) >= 2:
-            i1, i2 = hull[-2], hull[-1]
-            if (ys[i2] - ys[i1]) * (i - i1) < (y - ys[i1]) * (i2 - i1):
-                break
-            hull.pop()  # i2 lies on or above the chord from i1 to i
-        hull.append(i)
-    hy = [ys[i] for i in hull]
-    top = len(hull) - 1
-    a, b = (tol.rel_tol / 2).as_integer_ratio()
-    tol_num = den * a
-    max_slope = 2.0**1021 / len(vals)  # keeps |vn * (n - m)| finite
-    min_slope = 2.0**-1020 / min(tol.rel_tol, 1.0)  # keeps vn * (n - m) and the slack normal
-    base = u.start_index
-    h = 0
-
-    def certified(n: int, vn: float) -> bool:
-        nonlocal h
-        if vn != 0.0 and not min_slope <= abs(vn) <= max_slope:
-            return False  # also false for inf and nan
-        p, q = vn.as_integer_ratio()
-        pd = p * den
-        # f(i) = q * ys[i] - pd * i is q * den * (u[i] - vn * i); step to
-        # the hull vertex that minimises it.
-        while h < top and q * (hy[h + 1] - hy[h]) < pd * (hull[h + 1] - hull[h]):
-            h += 1
-        while h > 0 and q * (hy[h - 1] - hy[h]) < pd * (hull[h - 1] - hull[h]):
-            h -= 1
-        i = n - base
-        return (q * (ys[i] - hy[h]) - pd * (i - hull[h])) * b <= abs(p) * tol_num
-
-    return certified
-
-
-def _pure_row_test(u: Sequence, tol: ToleranceConfig):
-    """Return ``failing(n, vn)``, the m in increasing order whose pair (m, n) fails.
-
-    Each row is a pure-Python list.
-    """
-    vals = u.values
-    base = u.start_index
-
-    def failing(n: int, vn: float) -> list[int]:
-        un = u[n]
-        return [m for m, x in enumerate(vals, base) if not tol.leq(un - x, vn * (n - m))]
-
-    return failing
-
-
-def _row_test(u: Sequence, tol: ToleranceConfig):
-    """``_pure_row_test`` when ``len(u) <= PURE_ROWS_MAX_N``; numpy rows above it.
-
-    Both return the same lists.
-    """
-    if len(u) <= PURE_ROWS_MAX_N:
-        return _pure_row_test(u, tol)
-    import numpy as np
-
-    arr = np.array(u.values)
-    base = u.start_index
-    ms = np.arange(float(base), u.last_index + 1)
-
-    def failing(n: int, vn: float) -> list[int]:
-        with np.errstate(over="ignore", invalid="ignore"):
-            ok = tol.leq_mask(u[n] - arr, vn * (n - ms))
-        return (np.flatnonzero(~ok) + base).tolist()
-
-    return failing
-
-
-def _failing_support_pairs(
-    u: Sequence, s: SupportSequence, tol: ToleranceConfig
-) -> Iterator[tuple[int, int]]:
-    """Yield the ``(m, n)`` pairs that fail :func:`verify_support`'s subgradient test.
-
-    Pairs come row by row in window order, m increasing within a row.  A row
-    that ``_row_certifier`` proves to pass is skipped; every other row runs
-    in full.  The first such row is a pure-Python row: it often fails, which
-    ends a caller that wants only the first pair, and a pure row costs less
-    than importing numpy.  ``_row_test`` is built at the second, so an input
-    with at most one uncertified row never loads numpy.
-    """
-    certified = _row_certifier(u, tol)
-    rows = (
-        (n, vn)
-        for n, vn in enumerate(map(float, s.values), s.first_index)
-        if not certified(n, vn)
-    )
-    failing = _pure_row_test(u, tol)
-    for k, (n, vn) in enumerate(rows):
-        if k == 1:
-            failing = _row_test(u, tol)
-        for m in failing(n, vn):
-            yield m, n
-
-
-def _monotonicity_violations(s: SupportSequence, tol: ToleranceConfig) -> list[tuple[int, int]]:
-    v = [float(x) for x in s.values]
-    return [
-        (n, n + 1)
-        for n, (a, b) in enumerate(zip(v, v[1:]), s.first_index)
-        if not tol.leq(a, b)
-    ]
-
-
 def verify_support(
     u: Sequence, s: SupportSequence, tol: ToleranceConfig = DEFAULT_TOLERANCE
 ) -> SupportCheck:
     """Check a candidate support sequence against u.
 
-    Accepts any candidate, not only the one built by :func:`support_sequence`.
-    The verdict is true iff ``u[n] - u[m] <= v[n] * (n - m)`` within
-    tolerance for every m in u's range and n in the support window, and v is
-    monotone increasing.  Violating ``(m, n)`` pairs are listed either way;
+    Accepts any candidate with finite values, not only the one built by
+    :func:`support_sequence`.  The tolerance is that of the other criteria:
+    v within tolerance of supporting u means that ``v[n] + lift[n]``
+    supports ``u + phi`` exactly, where ``lift[n]`` is phi's step from n to
+    n + 1.  Phi is convex and ``lift[n]`` is one of its slopes at n, so a
+    support of u plus ``lift`` is a support of ``u + phi``.  The verdict is
+    true iff ``(u + phi)[n] - (u + phi)[m] <= (v[n] + lift[n]) * (n - m)``
+    for every m in u's range and n in the window, and ``v[n] + lift[n]``
+    is nondecreasing.  Violating ``(m, n)`` pairs are listed either way;
     monotonicity violations are listed as adjacent window index pairs.
 
-    Each window index n is one row of comparisons over m.  A row that the
-    lower convex hull of u proves to pass is skipped (see
-    ``_row_certifier``; it needs ``rel_tol >= 2**-50``).  Every other row
-    runs in full: the first as a pure-Python row, the rest as pure-Python
-    rows when ``len(u) <= PURE_ROWS_MAX_N`` and numpy rows above it, with
-    equal verdicts.  So the lists are those of the full O(N^2) scan, and
-    only the rows that are not certified, such as failing ones, cost O(N)
-    each.
+    Each window index n is one row of comparisons over m.  The lower convex
+    hull of ``u + phi`` decides the rows of a monotone candidate in
+    amortised O(1) each (see ``_supporting_lines``), and a failing row is
+    scanned once, exactly, for its failing pairs.  A value that is not
+    finite is a ``ValueError``.
     """
     if not (u.start_index <= s.first_index and s.last_index <= u.last_index):
         raise ValueError("support window outside sequence range")
-    sub = list(_failing_support_pairs(u, s, tol))
-    mono = _monotonicity_violations(s, tol)
+    ys, slack, den = convexity_slack(u, tol)
+    ty, lift = _tilted(ys, slack)
+    base = u.start_index
+    rows = []  # (n, p, q): v[n] + lift[n] == p / (q * den)
+    for n, vn in enumerate(map(float, s.values), s.first_index):
+        if not math.isfinite(vn):
+            raise ValueError(f"support value v[{n}] = {vn!r} is not finite")
+        p, q = vn.as_integer_ratio()
+        rows.append((n, p * den + q * lift[n - base], q))
+    holds = _supporting_lines(ty)
+    sub = []
+    for n, p, q in rows:
+        k = n - base
+        if not holds(k, p, q):
+            least = q * ty[k] - p * k
+            sub += [(base + m, n) for m, y in enumerate(ty) if q * y - p * m < least]
+    mono = [(n, n + 1) for (n, p, q), (_, p1, q1) in zip(rows, rows[1:]) if p * q1 > p1 * q]
     return SupportCheck(not sub and not mono, tuple(sub), tuple(mono))
 
 
@@ -371,45 +307,34 @@ def certify_convexity(
 ) -> ConvexityCertificate:
     """Run all three convexity criteria and assert that they agree.
 
-    Sequences shorter than 2 carry no support sequence; the support leg is
-    then vacuously true; on longer ones :func:`support_sequence` raises a
-    ``ValueError`` when an adjacent step overflows.  The support leg gives
-    the verdict of
-    :func:`verify_support` without building its lists: it skips the rows
-    that the lower convex hull certifies and stops at the first failing
-    pair.  If that pair's terms ``u[n] - u[m]`` or ``v[n] * (n - m)``
-    overflow, a ``ValueError`` names the pair: an infinite term makes the
-    slack infinite or the comparison nan, so the float verdict says
-    nothing.  The canonical candidate is nondecreasing by construction, so
-    the monotonicity half of :func:`verify_support` always passes and is not
-    run.  The three verdicts agree on any input whose margins are not at
-    the tolerance boundary; a disagreement is raised as an internal error
-    rather than folded into the certificate.
+    The support leg builds the least-step support of ``u + phi`` (the least
+    step at or after each index, as :func:`support_sequence` does for u) and
+    checks every row of it with the tangent walk along the lower convex
+    hull of ``u + phi`` (see ``_supporting_lines``), without listing pairs.
+    Sequences shorter than 2 have no row; the leg is then vacuously true.
+    Like the other two legs it is exact, so the three verdicts are equal on
+    every input: ``u + phi`` is convex iff its steps are nondecreasing iff
+    its least-step support supports it.  A disagreement would be a bug and
+    is raised as an internal error rather than folded into the certificate.
     """
     defining = check_defining_inequality(u, tol)
     slopes = check_three_point_slopes(u, tol)
-    if len(u) >= 2:
-        support = support_sequence(u)
-        pair = next(_failing_support_pairs(u, support, tol), None)
-        if pair is not None:
-            m, n = pair
-            vn = support.value_at(n)
-            x, y = u[n] - u[m], vn * (n - m)
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(
-                    f"support check overflows at (m, n) = ({m}, {n}): u[{n}] - u[{m}] = {x!r}, "
-                    f"v[{n}] = {vn!r}, v[{n}] * ({n} - {m}) = {y!r}"
-                )
-        support_ok = pair is None
-    else:
-        support = None
-        support_ok = True
+    ys, slack, _ = convexity_slack(u, tol)
+    ty, _ = _tilted(ys, slack)
+    steps = [b - a for a, b in zip(ty, ty[1:])]
+    least = list(accumulate(reversed(steps), min))[::-1]
+    holds = _supporting_lines(ty)
+    support_ok = all(holds(k, p, 1) for k, p in enumerate(least))
     if not (defining.is_convex == slopes.ok == support_ok):
         raise RuntimeError(
             "convexity criteria disagree "
             f"(defining={defining.is_convex}, slopes={slopes.ok}, support={support_ok}); "
-            "input sits at the tolerance boundary or this is a bug"
+            "this is a bug"
         )
+    try:
+        support = support_sequence(u)
+    except ValueError:  # fewer than 2 entries, or a step overflows
+        support = None
     return ConvexityCertificate(
         defining=defining,
         slopes_ok=slopes.ok,

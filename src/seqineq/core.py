@@ -6,27 +6,15 @@ anchored at 0, subadditivity at 1; keeping the anchor on the value makes that
 distinction explicit instead of a calling convention.
 
 Everything else in the package builds on the operations here: forward and
-second differences, the mediant inequality for ratio bounds, and the
-flag-style :func:`classify` used by the monotonicity/subadditivity bridges.
+second differences, the mediant inequality for ratio bounds, the one
+tolerance rule for convexity (:func:`convexity_slack`), and the flag-style
+:func:`classify` used by the monotonicity/subadditivity bridges.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from operator import add
-
-# The O(N^2) kernels verify_support and pairwise_violation_rows run
-# pure-Python rows on inputs of at most this many entries and numpy rows on
-# longer ones, with bit-identical results (verify_support runs its first
-# uncertified row in pure Python whatever the length).  Importing numpy takes
-# about 100 ms on a 2-vCPU VM.  verify_support, the slowest kernel per cell,
-# takes about 60 ms of pure rows at N = 256 and reaches the import's cost
-# between N = 384 and 512 in a fresh process, so up to this length both
-# kernels are cheaper without numpy.  subadditive_hull does not use this
-# cutoff: it switches by the work left (subadditivity.HULL_PURE_CELLS).
-PURE_ROWS_MAX_N = 256
-
 
 def frozen(cls=None, /, *, hidden=()):
     """Make ``cls`` an immutable value class over its annotated fields.
@@ -297,33 +285,47 @@ def mediant_bounds(a: Iterable[float], b: Iterable[float]) -> MediantReport:
     return MediantReport(min(ratios), sum(av) / sum(bv), max(ratios))
 
 
-def defining_sides(u: Sequence) -> list[tuple[float, float]]:
-    """Both sides ``(2*u[n], u[n-1] + u[n+1])`` of the defining inequality of convexity.
+def convexity_slack(
+    u: Sequence, tol: ToleranceConfig = DEFAULT_TOLERANCE
+) -> tuple[list[int], list[int], int]:
+    """The package's one tolerance rule for convexity, in exact integers.
 
-    One pair per interior index n, in order.  A side that overflows is
-    raised as a ``ValueError`` naming the first such ``u[n-1..n+1]``, as
-    :func:`second_differences` does: an infinite side makes the slack
-    infinite, so no verdict drawn from it would mean anything.
+    Returns ``(ys, slack, den)`` with ``u.values[k] == ys[k] / den`` for every
+    k and, for every interior k, ``slack[k - 1] / den`` equal to
+
+        s = max(abs_tol, rel_tol * max(|2*u[k]|, |u[k-1] + u[k+1]|))
+
+    with no rounding.  u is convex within tolerance iff ``u + phi`` is
+    convex, where phi is 0 at the first two indices and its second
+    difference at k is s; that is, iff ``2*u[k] <= u[k-1] + u[k+1] + s`` at
+    every interior k.  The floats and both tolerances are dyadic rationals,
+    so one power of two ``den`` clears every denominator, and a verdict
+    drawn from these integers is exact about the binary floats: nothing
+    overflows and nothing rounds.
+
+    >>> convexity_slack(Sequence((0, 1, 0), 0), ToleranceConfig(0.5, 0.0))
+    ([0, 2, 0], [1], 2)
     """
-    v = u.values
-    twice = [2.0 * x for x in v[1:-1]]
-    outer = list(map(add, v, v[2:]))
-    if any(map(math.isinf, twice)) or any(map(math.isinf, outer)):
-        k = next(k for k, (a, b) in enumerate(zip(twice, outer)) if math.isinf(a) or math.isinf(b))
-        n = u.start_index + k
-        raise ValueError(f"second difference of u[{n}..{n + 2}] overflows")
-    return list(zip(twice, outer))
+    ys, den = dyadic_integers(u.values)
+    a, b = tol.rel_tol.as_integer_ratio()
+    c, d = tol.abs_tol.as_integer_ratio()
+    scale = max(b, d)  # b and d are powers of two
+    least = c * den * (scale // d)
+    rel = a * (scale // b)
+    slack = [max(least, rel * max(abs(2 * y), abs(x + z))) for x, y, z in zip(ys, ys[1:], ys[2:])]
+    return [y * scale for y in ys], slack, den * scale
 
 
 def classify(u: Sequence, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> ClassificationFlags:
     """Shape flags, each decided within tolerance.
 
-    ``convex`` makes the comparisons of the defining inequality,
-    ``tol.leq(2*u[n], u[n-1] + u[n+1])`` at every interior n, and
-    ``concave`` the reverse ones, so ``convex`` is the verdict of
-    :func:`~seqineq.convexity.check_defining_inequality` under the same
-    tolerance, and an overflowing side raises the same error.  Both are
-    vacuously true for sequences shorter than 3; the monotonicity flags are
+    ``convex`` is ``2*u[n] <= u[n-1] + u[n+1] + s_n`` at every interior n,
+    decided exactly under :func:`convexity_slack`'s rule, so it is the
+    verdict of :func:`~seqineq.convexity.check_defining_inequality` under
+    the same tolerance; ``concave`` is the reverse comparison,
+    ``u[n-1] + u[n+1] <= 2*u[n] + s_n``.  Neither overflows on finite
+    input.  Both are vacuously true for sequences shorter than 3; the
+    monotonicity flags, each a ``tol.leq`` of neighbouring entries, are
     vacuously true for singletons.  A nonnegative decreasing sequence
     anchored at 1 is always pairwise subadditive, and differences of a
     concave increasing nonnegative sequence are decreasing and nonnegative;
@@ -333,7 +335,8 @@ def classify(u: Sequence, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Classific
     nonnegative = all(tol.leq(0.0, x) for x in v)
     increasing = all(tol.leq(x, y) for x, y in zip(v, v[1:]))
     decreasing = all(tol.leq(y, x) for x, y in zip(v, v[1:]))
-    sides = defining_sides(u)
-    convex = all(tol.leq(twice, outer) for twice, outer in sides)
-    concave = all(tol.leq(outer, twice) for twice, outer in sides)
+    ys, slack, _ = convexity_slack(u, tol)
+    seconds = [x - 2 * y + z for x, y, z in zip(ys, ys[1:], ys[2:])]
+    convex = all(-s <= d for d, s in zip(seconds, slack))
+    concave = all(d <= s for d, s in zip(seconds, slack))
     return ClassificationFlags(nonnegative, increasing, decreasing, convex, concave)

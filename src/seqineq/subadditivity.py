@@ -34,9 +34,19 @@ import math
 from collections.abc import Iterator
 from functools import cached_property, lru_cache
 
-from .core import DEFAULT_TOLERANCE, PURE_ROWS_MAX_N, Sequence, ToleranceConfig, frozen
+from .core import DEFAULT_TOLERANCE, Sequence, ToleranceConfig, frozen
 
 ORACLE_MAX_N = 30
+
+# pairwise_violation_rows runs pure-Python rows on inputs of at most this
+# many entries and numpy rows on longer ones, with bit-identical results.
+# On a 2-vCPU VM a pure comparison costs about 440 ns, so the N**2 / 4
+# pairs of a whole test take about 7 ms at N = 256, against 100-130 ms to
+# import numpy; for the comparisons alone pure rows stay cheaper up to
+# about N = 1000.  A failing row also writes its part of the report, whose
+# cost is not counted here, so the cutoff stays at 256.  subadditive_hull
+# does not use it: it switches by the work left (HULL_PURE_CELLS below).
+PURE_ROWS_MAX_N = 256
 
 # subadditive_hull runs pure-Python rows while the split sums it still has
 # to form number at most this many, and numpy rows after that (see

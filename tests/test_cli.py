@@ -38,7 +38,7 @@ from seqineq import (
     write_sequence,
 )
 from seqineq.cli import run_cli, load_report_schema
-from seqineq.core import PURE_ROWS_MAX_N
+from seqineq.subadditivity import PURE_ROWS_MAX_N
 
 VALIDATOR = jsonschema.Draft202012Validator(load_report_schema())
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -310,20 +310,16 @@ def test_error_exits_with_one_line_diagnostic(tmp_path, capsys):
 
 
 HULL_OVERFLOW = "subadditive hull overflows at n=4: v[4] = -inf, w[4] = inf"
-SUPPORT_CHECK_OVERFLOW = (
-    "support check overflows at (m, n) = (2, 0): u[0] - u[2] = -inf, "
-    "v[0] = 1.7e+308, v[0] * (0 - 2) = -inf"
-)
 PEAK_OVERFLOW = "second difference of u[0..2] overflows"
+LATE_PEAK_OVERFLOW = "second difference of u[1..3] overflows"
 LAGRANGE_OVERFLOW_10 = "coefficient of x^1 of the interpolant overflows"
 LAGRANGE_OVERFLOW_30 = "coefficient of x^3 of the interpolant overflows"
 # The input of each case, by its message; the others read ALTERNATING.
 OVERFLOW_INPUTS = {
-    # Linear, so the defining and slope legs pass; the support pair
-    # (2, 0) compares -inf with -inf plus an infinite slack.
-    SUPPORT_CHECK_OVERFLOW: "# start_index=0\n-1.7e308\n0\n1.7e308\n",
-    # 2 * u[1] overflows; its infinite slack would pass the defining leg.
+    # The defect 2 * u[1] - u[0] - u[2] = 3.4e308 is beyond float range.
     PEAK_OVERFLOW: "# start_index=0\n0\n1.7e308\n0\n",
+    # The same defect at n = 2; the first interior index is convex.
+    LATE_PEAK_OVERFLOW: "# start_index=0\n0\n0\n1.7e308\n0\n",
     # The exact interpolants' coefficients of x^1 and x^3 are beyond float
     # range; the degree-29 one fails before its conditioning warning.
     LAGRANGE_OVERFLOW_10: "# start_index=0\n" + "".join(f"{(-1) ** k * 1.7e308}\n" for k in range(10)),
@@ -343,7 +339,7 @@ ALTERNATING = "1.7e308\n-1.7e308\n1.7e308\n-1.7e308\n"
         (["check-subadd", "--eps", "1"], HULL_OVERFLOW),
         (["spline"], "quadratic piece at n=2 overflows"),
         (["spline", "--format", "csv"], "quadratic piece at n=2 overflows"),
-        (["check-convex"], SUPPORT_CHECK_OVERFLOW),
+        (["check-convex"], LATE_PEAK_OVERFLOW),
         (["support"], "support sequence overflows at n=1: u[2] - u[1] = -inf"),
         (["check-convex"], PEAK_OVERFLOW),
         (["lagrange"], LAGRANGE_OVERFLOW_10),
@@ -356,6 +352,46 @@ def test_overflow_is_named_on_finite_input(tmp_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "values, argv, code",
+    [
+        ((1e6, 1e6 + 1, 1e6 + 2 - 1e-4), [], 0),
+        ((1e6, 1e6 + 1, 1e6 + 2 - 1e-4), ["--abs-tol", "0", "--rel-tol", "0"], 1),
+        ((1.7e308, 1, -1.7e308), [], 1),
+        ((-1e308, 8e307, 1e308), [], 1),
+        ((1.7e308, -1.7e308, 1.7e308), [], 0),
+        ((-1.7e308, 0, 1.7e308), [], 0),
+        # Not convex as binary floats: 0.3 - 0.2 < 0.2 - 0.1.
+        ((0.1, 0.2, 0.3, 0.4), ["--abs-tol", "0", "--rel-tol", "0"], 1),
+    ],
+    ids=["large-offset", "large-offset-exact", "rounded-steps", "finite-defect", "wide-sides",
+         "wide-steps", "decimals-exact"],
+)
+def test_check_convex_decides_finite_input_exactly(tmp_path, capsys, values, argv, code):
+    # Each of these exited 2 before the legs were decided exactly, except
+    # large-offset-exact, with a disagreement or a misnamed overflow.
+    path = _write(tmp_path, "u.csv", "# start_index=0\n" + "".join(f"{float(x)!r}\n" for x in values))
+    assert run_cli(["check-convex", path, *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    VALIDATOR.validate(report)
+    convexity = report["convexity"]
+    assert convexity["is_convex"] == convexity["slopes_ok"] == convexity["support_ok"] == (code == 0)
+    assert report["classification"]["convex"] == (code == 0)
+
+
+@pytest.mark.parametrize("argv", [["check-subadd"], ["check-subadd", "--eps", "1"]])
+def test_check_subadd_classifies_without_overflow(tmp_path, capsys, argv):
+    # 2 * u[2] overflows in floats; the exact classification does not.
+    path = _write(tmp_path, "u.csv", "1\n1.7e308\n1\n1\n")
+    assert run_cli([argv[0], path, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    flags = json.loads(captured.out)["classification"]
+    assert (flags["convex"], flags["concave"]) == (False, False)
 
 
 @pytest.mark.parametrize(
@@ -613,6 +649,30 @@ def test_hull_commands_on_few_generators_do_not_load_numpy(tmp_path):
     # hull, decompose, epsilon, check-subadd --eps 1: neither input is
     # 1-approximately subadditive
     assert codes == [0, 0, 0, 1] * 2
+    assert not loaded
+
+
+CONVEX_PROBE = """
+import io, json, sys
+from seqineq.cli import run_cli
+sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+conv, lin = sys.argv[1:]
+codes = [run_cli(["check-convex", conv, "--rel-tol", "0"]), run_cli(["check-convex", lin])]
+sys.__stdout__.write(json.dumps([codes, sys.stderr.getvalue(), "numpy" in sys.modules]))
+"""
+
+
+def test_check_convex_at_scale_does_not_load_numpy(tmp_path):
+    # N = 10**4, base 0: k**2 - 3k at zero relative tolerance, and 0.07k +
+    # 1.25 to two decimals, whose rounded steps differ by about an ulp.
+    # Every support row is decided by the exact tangent walk.
+    conv = _write(tmp_path, "conv.csv", "# start_index=0\n" + "".join(f"{k * k - 3 * k}\n" for k in range(10**4)))
+    lin = _write(tmp_path, "lin.csv", "# start_index=0\n" + "".join(f"{0.07 * k + 1.25:.2f}\n" for k in range(10**4)))
+    proc = _python("-c", CONVEX_PROBE, conv, lin, stdout=subprocess.PIPE, text=True)
+    out, _ = proc.communicate(timeout=120)
+    codes, err, loaded = json.loads(out)
+    assert codes == [0, 0]
+    assert err == ""
     assert not loaded
 
 

@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import random
-import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from corpus import convex_values, nonincreasing_difference_values
 from seqineq import (
     Sequence,
     SupportSequence,
+    ToleranceConfig,
     certify_convexity,
     check_defining_inequality,
     check_three_point_slopes,
@@ -43,9 +45,8 @@ def test_defining_inequality_examples():
 @pytest.mark.parametrize(
     "values",
     [
-        (0, 1.7e308, 0),  # 2 * u[1] overflows; its infinite slack would pass
-        (-1e308, 1e308, -1e308),  # 2 * u[1] overflows in a violation
-        (-1e308, 8e307, 1e308),  # both sides finite, the defect is not
+        (0, 1.7e308, 0),  # the defect 3.4e308 is beyond the float range
+        (-1e308, 1e308, -1e308),  # the defect 4e308 is beyond the float range
     ],
 )
 def test_defining_inequality_names_overflow(values):
@@ -53,11 +54,26 @@ def test_defining_inequality_names_overflow(values):
         check_defining_inequality(Sequence(values, 0))
 
 
+def test_a_finite_defect_is_a_violation_not_an_overflow():
+    # 2 * u[1] - u[0] overflows in floats, but the exact defect is finite.
+    report = check_defining_inequality(Sequence((-1e308, 8e307, 1e308), 0))
+    assert report.violations == ((1, 1.6e308),)
+    # Both sides overflow in floats; the second difference is 6.8e308 > 0.
+    cert = certify_convexity(Sequence((1.7e308, -1.7e308, 1.7e308), 0))
+    assert cert.is_convex and cert.slopes_ok and cert.support_ok
+    assert cert.support is None  # its steps overflow
+    # The defect is the exact one, rounded once; evaluated in floats,
+    # 2 * 0.85 - 0.13 - 0.76 rounds twice, to 0.8099999999999998.
+    report = check_defining_inequality(Sequence((0.13, 0.85, 0.76), 0))
+    assert report.violations == ((1, 0.8099999999999999),)
+    assert report.violations[0][1] == float(2 * Fraction(0.85) - Fraction(0.13) - Fraction(0.76))
+
+
 def _defining_verdict(u: Sequence) -> bool:
     try:
         return check_defining_inequality(u).is_convex
     except ValueError:
-        # With both sides finite, only a violation's defect can overflow.
+        # Only a violation's defect can overflow.
         return False
 
 
@@ -72,13 +88,9 @@ entries = st.integers(-50, 50).map(float) | st.tuples(st.booleans(), magnitudes)
 @example(values=[0.0, 1000000.0, 1999999.9999])
 @example(values=[0.0, 1.7e308, 0.0])
 def test_classify_makes_the_defining_comparisons(values):
+    # classify is exact, so it answers where a defect overflows the floats.
     u = Sequence(values, 0)
-    try:
-        flags = classify(u)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            check_defining_inequality(u)
-        return
+    flags = classify(u)
     assert flags.convex == _defining_verdict(u)
     assert flags.concave == _defining_verdict(Sequence([-x for x in values], 0))
 
@@ -168,6 +180,11 @@ def test_verify_support_accepts_any_valid_candidate():
     u = Sequence((0, 0, 1), 0)
     candidate = SupportSequence(base=u, values=(0.0, 0.5), first_index=0, last_index=1)
     assert verify_support(u, candidate).ok
+    # A window may take in the last index, whose row looks only back.
+    candidate = SupportSequence(base=u, values=(0.0, 0.5, 1.0), first_index=0, last_index=2)
+    assert verify_support(u, candidate).ok
+    candidate = SupportSequence(base=u, values=(0.0, 0.5, 0.5), first_index=0, last_index=2)
+    assert verify_support(u, candidate).subgradient_violations == ((1, 2),)
 
 
 def test_verify_support_reports_monotonicity_violations():
@@ -226,21 +243,79 @@ def test_concavity_tracks_nonincreasing_differences():
         assert classify(d).monotone_decreasing
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=RuntimeError,
-    reason="ROADMAP item 2: the three convexity legs disagree, through slacks "
-    "scaled differently or steps that round, and certify_convexity raises",
-)
 @pytest.mark.parametrize(
-    "values, base",
+    "values, base, convex",
     [
-        ((1e6, 1e6 + 1, 1e6 + 2 - 1e-4), 0),
-        ((7316870.326960323, 7316870.326908223, 7316870.32696826, 7316870.326112273), 1),
-        ((1.7e308, 1, -1.7e308), 0),
+        # 2 * u[1] exceeds u[0] + u[2] by 1e-4, within the slack 2e-3.
+        ((1e6, 1e6 + 1, 1e6 + 2 - 1e-4), 0, True),
+        ((7316870.326960323, 7316870.326908223, 7316870.32696826, 7316870.326112273), 1, True),
+        # Both steps round to -1.7e308, but the defect is 2.
+        ((1.7e308, 1, -1.7e308), 0, False),
     ],
     ids=["large-offset", "large-offset-wiggle", "rounded-steps"],
 )
-def test_convexity_legs_agree_at_large_magnitudes(values, base):
-    # Which verdict is right is for the fix to decide; any certificate passes.
-    assert certify_convexity(Sequence(values, base)) is not None
+def test_convexity_legs_agree_at_large_magnitudes(values, base, convex):
+    cert = certify_convexity(Sequence(values, base))
+    assert cert.is_convex == cert.slopes_ok == cert.support_ok == convex
+
+
+# ------------------------------------------------ one exact tolerance model
+
+def _signed(magnitude):
+    return st.tuples(st.booleans(), magnitude).map(lambda t: -t[1] if t[0] else t[1])
+
+
+wide = st.lists(_signed(st.floats(min_value=1e-300, max_value=1e300)), min_size=1, max_size=24)
+
+
+@st.composite
+def large_offset(draw):
+    """An offset U(1e3, 1e7) plus a wiggle U(-1, 1) * 10**k, k in -6..1."""
+    offset = draw(st.floats(1e3, 1e7))
+    k = draw(st.integers(-6, 1))
+    n = draw(st.integers(1, 24))
+    return [offset + draw(st.floats(-1.0, 1.0)) * 10.0**k for _ in range(n)]
+
+
+@st.composite
+def two_decimals(draw):
+    """Two-decimal numbers, often on a line, as a file would hold them."""
+    n = draw(st.integers(1, 24))
+    if draw(st.booleans()):
+        a, b = draw(st.integers(-10**4, 10**4)), draw(st.integers(-10**4, 10**4))
+        cents = [a + b * k for k in range(n)]
+    else:
+        cents = draw(st.lists(st.integers(-10**5, 10**5), min_size=n, max_size=n))
+    return [float(f"{c / 100:.2f}") for c in cents]
+
+
+DEFAULT = ToleranceConfig()
+ZERO = ToleranceConfig(0.0, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=st.one_of(
+        st.tuples(wide, st.sampled_from((DEFAULT, ZERO, ToleranceConfig(1e-3, 0.0)))),
+        st.tuples(large_offset(), st.sampled_from((DEFAULT, ZERO))),
+        st.tuples(two_decimals(), st.just(ZERO)),
+    ),
+    base=st.integers(0, 1),
+)
+@example(case=([1e6, 1e6 + 1, 1e6 + 2 - 1e-4], DEFAULT), base=0)
+@example(case=([0.1, 0.2, 0.3, 0.4], ZERO), base=0)
+@example(case=([-1e300, 1e300, 1e-300], DEFAULT), base=1)
+def test_the_legs_decide_one_exact_tolerance_model(case, base):
+    values, tol = case
+    u = Sequence(values, base)
+    cert = certify_convexity(u, tol)  # never raises the disagreement guard
+    assert cert.is_convex == cert.slopes_ok == cert.support_ok == classify(u, tol).convex
+    if len(values) <= 12:
+        assert cert.is_convex == reference.convex_within(values, tol)
+        assert classify(u, tol).concave == reference.convex_within([-x for x in values], tol)
+        assert check_three_point_slopes(u, tol, exhaustive=True).ok == cert.is_convex
+    if tol.rel_tol == 0.0:
+        # The defining leg's critical tolerance is the largest exact defect.
+        q = [Fraction(x) for x in values]
+        defect = max([Fraction(0)] + [2 * q[k] - q[k - 1] - q[k + 1] for k in range(1, len(q) - 1)])
+        assert cert.is_convex == (defect <= Fraction(tol.abs_tol))

@@ -1,30 +1,30 @@
-"""The O(N^2) kernels, on both row paths, against the scalar loops they replaced.
+"""The O(N^2) kernels, on both row paths, against exact or scalar oracles.
 
-The three O(N^2) kernels (``verify_support``, ``subadditive_hull`` and
-``is_subadditive_pairwise``) compute one row at a time: pure-Python rows for
-inputs of at most ``PURE_ROWS_MAX_N`` entries, numpy rows above it.  The
-hull instead starts with pure rows over a list of candidate splits and
-switches to numpy rows once the work left exceeds ``HULL_PURE_CELLS``.  The
+Two O(N^2) kernels (``subadditive_hull`` and ``is_subadditive_pairwise``)
+compute one row at a time.  The pairwise test runs pure-Python rows for
+inputs of at most ``PURE_ROWS_MAX_N`` entries and numpy rows above it; the
+hull starts with pure rows over a list of candidate splits and switches to
+numpy rows once the work left exceeds ``HULL_PURE_CELLS``.  The
 ``_reference_*`` functions below are the scalar double loops the package
-used before its kernels were written as rows.  They are kept here, and only
-here, as oracles: values, witnesses and violation lists must match them bit
-for bit (compared through ``repr``), including signed zeros, floats across
-many magnitudes and sums that overflow to infinity.  Every comparison runs
-on both paths, by moving the cutoff below or above the input length, and
-the two paths must agree at the real cutoff and one entry above it.  The
-hull is also compared with a small budget that switches paths mid-DP.
+used before these kernels were written as rows.  They are kept here, and
+only here, as oracles: values, witnesses and violation lists must match
+them bit for bit (compared through ``repr``), including signed zeros, floats
+across many magnitudes and sums that overflow to infinity.  Every
+comparison runs on both paths, by moving the cutoff below or above the
+input length, and the two paths must agree at the real cutoff and one entry
+above it.  The hull is also compared with a small budget that switches
+paths mid-DP.
 
 ``support_sequence`` is one linear pass over the adjacent steps and never
 loads numpy.  Its oracle is exact: the least slope over all pairs at or
-after n, in ``fractions.Fraction``, rounded once.  ``_reference_support``,
-the old O(N^2) chord scan, rounds each chord twice, so it stays only as a
-lower bound that is reached when no rounding happens.
+after n, in ``fractions.Fraction``, rounded once.
 
-``verify_support`` skips the rows that the lower convex hull proves to pass.
-The properties at the end aim at that proof: convex sequences with entries
-moved by one ulp, candidates moved by one ulp or shuffled, floats from
-1e-300 to 1e300, and tolerances from zero to the smallest one at which rows
-are certified.
+``verify_support`` is exact, in integers: it decides each row with the
+lower convex hull of ``u + phi`` and scans a failing row once.  Its oracle
+is ``reference.verify_support``, every pair in ``fractions.Fraction``.  The
+properties at the end aim at the tangent walk: convex sequences with
+entries moved by one ulp, candidates moved by one ulp or shuffled, floats
+from 1e-300 to 1e300, and tolerances from zero to the default.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import os
 import random
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -45,6 +44,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from seqineq import (
     Sequence,
     ToleranceConfig,
@@ -54,9 +54,9 @@ from seqineq import (
     support_sequence,
     verify_support,
 )
-from seqineq import convexity, subadditivity
+from seqineq import subadditivity
 from seqineq.convexity import SupportSequence
-from seqineq.core import PURE_ROWS_MAX_N
+from seqineq.subadditivity import PURE_ROWS_MAX_N
 
 TOLERANCES = (ToleranceConfig(), ToleranceConfig(abs_tol=0.0, rel_tol=0.0))
 NUMPY_ROWS = 0  # cutoff below every length: every kernel runs numpy rows
@@ -71,51 +71,11 @@ def _set_cutoff(monkeypatch, cutoff: int) -> None:
     A hull budget of 0 runs numpy rows from row 2 on, and a budget above
     ``len(u)**2`` runs pure rows only.
     """
-    for module in (convexity, subadditivity):
-        monkeypatch.setattr(module, "PURE_ROWS_MAX_N", cutoff)
+    monkeypatch.setattr(subadditivity, "PURE_ROWS_MAX_N", cutoff)
     monkeypatch.setattr(subadditivity, "HULL_PURE_CELLS", cutoff)
 
 
 # ------------------------------------------------------------------ oracles
-
-def _reference_support(u: Sequence):
-    vals = u.values
-    base = u.start_index
-    count = len(vals) - 1
-    v = [0.0] * count
-    witnesses = [(0, 0)] * count
-    best = None
-    best_pair = (0, 0)
-    for i in range(count - 1, -1, -1):
-        row_best = None
-        row_pair = (0, 0)
-        for j in range(i + 1, len(vals)):
-            s = (vals[j] - vals[i]) / (j - i)
-            if row_best is None or s < row_best:
-                row_best = s
-                row_pair = (base + i, base + j)
-        if best is None or row_best <= best:
-            best = row_best
-            best_pair = row_pair
-        v[i] = best
-        witnesses[i] = best_pair
-    return tuple(v), tuple(witnesses)
-
-
-def _reference_verify(u: Sequence, s: SupportSequence, tol: ToleranceConfig):
-    sub = []
-    for n in range(s.first_index, s.last_index + 1):
-        vn = s.value_at(n)
-        un = u[n]
-        for m in u.indices():
-            if not tol.leq(un - u[m], vn * (n - m)):
-                sub.append((m, n))
-    mono = []
-    for n in range(s.first_index, s.last_index):
-        if not tol.leq(s.value_at(n), s.value_at(n + 1)):
-            mono.append((n, n + 1))
-    return not sub and not mono, tuple(sub), tuple(mono)
-
 
 def _reference_hull(u: Sequence):
     vals = u.values
@@ -247,53 +207,36 @@ def test_support_sequence_is_the_rounded_least_slope(family):
             # each value carries the bits of its witness step.
             assert got == expected
             assert all(repr(x) == repr(u[n + 1] - u[n]) for x, (n, _) in zip(*got))
-            # The old chord scan's minimum includes every step, so it is a
-            # lower bound; without rounding (small-int, signed-zero) it is
-            # reached, bits and witnesses included.
-            old = _reference_support(u)
-            assert all(x >= y for x, y in zip(got[0], old[0]))
-            if family in ("small-int", "signed-zero"):
-                assert repr(got) == repr(old)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_support_kernels_match_reference(family, monkeypatch):
-    for cutoff in (NUMPY_ROWS, PURE_ROWS):
-        _set_cutoff(monkeypatch, cutoff)
-        _check_support_kernels(family)
-
-
-def _check_support_kernels(family):
+def test_support_kernels_match_reference(family):
     for length, values, rng in _cases(family):
         for base in (0, 1):
             u = Sequence(values, base)
             if length < 2 or base != length // 2 % 2:
                 continue
-            # Odd lengths verify the canonical candidate, even lengths a
-            # foreign one that fills both violation lists.  Base, candidate
-            # and tolerance take all eight combinations within any 8 lengths.
-            if length % 2:
-                try:
-                    candidate = support_sequence(u)
-                except ValueError:
-                    # A step overflows: verify the old chord scan's
-                    # candidate instead, with its infinite values.
-                    candidate = SupportSequence(u, _reference_support(u)[0], base, u.last_index - 1)
-            else:
+            # Odd lengths verify the canonical candidate, even lengths (and
+            # inputs whose steps overflow) a foreign one that fills both
+            # violation lists.  Base, candidate and tolerance take all eight
+            # combinations within any 8 lengths.
+            try:
+                candidate = support_sequence(u)
+            except ValueError:
+                candidate = None
+            if length % 2 == 0 or candidate is None:
                 candidate = SupportSequence(
                     u, tuple(FAMILIES[family](rng) for _ in range(length - 1)), base, u.last_index - 1
                 )
             tol = TOLERANCES[length // 4 % 2]
-            assert _outcome(_verify_fields, u, candidate, tol) == _outcome(
-                _reference_verify, u, candidate, tol
-            )
+            assert repr(_verify_fields(u, candidate, tol)) == repr(reference.verify_support(u, candidate, tol))
 
 
 def test_support_is_the_least_step_not_a_rounded_chord():
     u = Sequence((-0.07162001407713015, 0.6283799859228698, 1.3283799859228698, 2.0283799859228697), 0)
     # (u[3] - u[0]) / 3 rounds twice and lands below every rounded step.
-    assert _reference_support(u)[0][0] == 0.6999999999999998
-    assert _reference_support(u)[1][0] == (0, 3)
+    assert (u[3] - u[0]) / 3 == 0.6999999999999998
+    assert min(u[k + 1] - u[k] for k in range(3)) == 0.7
     s = support_sequence(u)
     assert (s.values[0], s.witness_pairs[0]) == (0.7, (0, 1))
 
@@ -359,26 +302,10 @@ def test_hull_scans_every_split_where_sums_round(values):
     _check_hull_on_every_path(Sequence(values, 1))
 
 
-def _all_kernels(values, rng, family):
-    """Every kernel's output on one input, as a ``repr`` per call."""
-    out = []
-    for base in (0, 1):
-        u = Sequence(values, base)
-        try:
-            s = support_sequence(u)
-        except ValueError as exc:
-            out.append(f"ValueError: {exc}")
-            # A step overflows: verify the old chord scan's candidate instead.
-            s = SupportSequence(u, _reference_support(u)[0], base, u.last_index - 1)
-        else:
-            out.append(repr((s.values, s.witness_pairs)))
-        foreign = SupportSequence(
-            u, tuple(FAMILIES[family](rng) for _ in range(len(u) - 1)), base, u.last_index - 1
-        )
-        out.append(_outcome(_verify_fields, u, s, TOLERANCES[base]))
-        out.append(_outcome(_verify_fields, u, foreign, TOLERANCES[1 - base]))
+def _all_kernels(values):
+    """The hull's and the pairwise test's output on one input, as a ``repr`` per call."""
     u = Sequence(values, 1)
-    out.append(_outcome(_hull_fields, u))
+    out = [_outcome(_hull_fields, u)]
     for tol in TOLERANCES:
         out.append(repr(is_subadditive_pairwise(u, tol).violations))
     return out
@@ -390,12 +317,11 @@ def test_both_row_paths_agree_at_the_cutoff(family, length, monkeypatch):
     draw = FAMILIES[family]
     rng = random.Random(f"cutoff-{family}-{length}")
     values = tuple(draw(rng) for _ in range(length))
-    seed = f"foreign-{family}-{length}"
-    default = _all_kernels(values, random.Random(seed), family)
+    default = _all_kernels(values)
     _set_cutoff(monkeypatch, NUMPY_ROWS)
-    numpy_rows = _all_kernels(values, random.Random(seed), family)
+    numpy_rows = _all_kernels(values)
     _set_cutoff(monkeypatch, PURE_ROWS)
-    pure_rows = _all_kernels(values, random.Random(seed), family)
+    pure_rows = _all_kernels(values)
     assert numpy_rows == pure_rows
     assert default == pure_rows
 
@@ -431,9 +357,10 @@ MIXED = (1.7e308, -1.7e308, 1.7e308, -1.7e308)
 def test_kernels_raise_no_numpy_warnings(values, monkeypatch):
     _set_cutoff(monkeypatch, NUMPY_ROWS)
     u = Sequence(values, 1)
+    with pytest.raises(ValueError, match=r"^support value v\[1\] = inf is not finite$"):
+        verify_support(u, SupportSequence(u, (math.inf, -math.inf, 0.0), 1, 3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        verify_support(u, SupportSequence(u, (math.inf, -math.inf, 0.0), 1, 3))
         if values == BIG:
             verify_support(u, support_sequence(u))
             subadditive_hull(u)
@@ -464,12 +391,10 @@ def test_cli_on_overflowing_input_writes_nothing_to_stderr(tmp_path, command):
     assert done.stderr == ""
 
 
-# ------------------------------------------- rows certified by the convex hull
+# ------------------------------------------ rows decided by the convex hull
 
-# verify_support skips a row only when the lower convex hull proves that all
-# of its comparisons pass; that needs rel_tol >= 2**-50, so the zero and the
-# absolute-only tolerances run every row, and 2**-50 itself is the tightest
-# tolerance the certificate is used at.
+# verify_support decides every row exactly, at any tolerance: zero, absolute
+# only, relative only, and the default.
 HULL_TOLERANCES = (
     ToleranceConfig(),
     ToleranceConfig(0.0, 0.0),
@@ -511,52 +436,52 @@ def near_tangent_inputs(draw):
 
 @st.composite
 def candidates(draw, u: Sequence):
-    """The canonical support of u, or a foreign candidate on its window."""
+    """The canonical support of u, or a foreign candidate on its window.
+
+    A foreign window may also take in the last index of u.
+    """
     s = support_sequence(u)
     kind = draw(st.sampled_from(("canonical", "ulp", "shuffled", "foreign")))
     if kind == "canonical":
         return s
+    values = list(s.values)
+    if draw(st.booleans()):
+        values.append(values[-1])
+    n = len(values)
     if kind == "ulp":
-        signs = draw(st.lists(st.sampled_from((0, 1, -1)), min_size=len(s.values), max_size=len(s.values)))
-        values = [math.nextafter(x, math.inf * d) if d else x for x, d in zip(s.values, signs)]
+        signs = draw(st.lists(st.sampled_from((0, 1, -1)), min_size=n, max_size=n))
+        values = [math.nextafter(x, math.inf * d) if d else x for x, d in zip(values, signs)]
     elif kind == "shuffled":
-        values = draw(st.permutations(s.values))
+        values = draw(st.permutations(values))
     else:
-        values = draw(st.lists(wide_floats, min_size=len(s.values), max_size=len(s.values)))
-    return SupportSequence(u, tuple(values), s.first_index, s.last_index)
+        values = draw(st.lists(wide_floats, min_size=n, max_size=n))
+    return SupportSequence(u, tuple(values), s.first_index, s.first_index + n - 1)
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), u=near_tangent_inputs(), tol=st.sampled_from(HULL_TOLERANCES))
 def test_verify_support_matches_reference_near_the_hull(data, u, tol):
     candidate = data.draw(candidates(u))
-    expected = repr(_reference_verify(u, candidate, tol))
-    with pytest.MonkeyPatch.context() as mp:
-        for cutoff in (NUMPY_ROWS, PURE_ROWS):
-            _set_cutoff(mp, cutoff)
-            assert repr(_verify_fields(u, candidate, tol)) == expected
-
-
-def _certified_support_ok(u: Sequence, tol: ToleranceConfig) -> bool:
-    """``certify_convexity(u, tol).support_ok``, also when the legs disagree."""
-    try:
-        return certify_convexity(u, tol).support_ok
-    except RuntimeError as exc:
-        # At the tolerance boundary the legs may disagree; the error names
-        # each leg's verdict.
-        return re.search(r"support=(True|False)", str(exc)).group(1) == "True"
+    assert repr(_verify_fields(u, candidate, tol)) == repr(reference.verify_support(u, candidate, tol))
 
 
 @settings(max_examples=300, deadline=None)
 @given(u=near_tangent_inputs(), tol=st.sampled_from(HULL_TOLERANCES))
 def test_certificate_support_leg_matches_verify_support(u, tol):
-    assert _certified_support_ok(u, tol) == verify_support(u, support_sequence(u), tol).ok
+    # The support leg verifies the least-step support of u + phi, and
+    # verify_support the candidate it is given, each against the exact
+    # definition.  A candidate that verifies proves u + phi convex.
+    cert = certify_convexity(u, tol)
+    assert cert.support_ok == reference.convex_within(u.values, tol)
+    verified = verify_support(u, support_sequence(u), tol).ok
+    assert verified == reference.verify_support(u, support_sequence(u), tol)[0]
+    assert cert.support_ok or not verified
 
 
 def test_certificate_builds_no_violation_list():
     rng = random.Random("certificate-memory")
     u = Sequence([float(rng.randint(0, 1000)) for _ in range(3000)], 0)
-    certify_convexity(u)  # numpy and the module-level caches load untraced
+    certify_convexity(u)  # the module-level caches load untraced
     tracemalloc.start()
     try:
         cert = certify_convexity(u)

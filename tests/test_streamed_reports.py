@@ -32,7 +32,7 @@ from seqineq import (
     write_sequence,
 )
 from seqineq.cli import _base_report, _emit, _int_arrays, run_cli
-from seqineq.core import PURE_ROWS_MAX_N
+from seqineq.subadditivity import PURE_ROWS_MAX_N
 
 TOL = ToleranceConfig()
 COMMANDS = ("hull", "decompose", "check-subadd")
