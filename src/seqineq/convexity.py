@@ -17,6 +17,12 @@ max(|2*u[n]|, |u[n-1] + u[n+1]|))``.  Each criterion is applied to
 ``u + phi`` as it stands, with no further slack, so no verdict depends on
 rounding or overflow.  :func:`certify_convexity` runs all three and insists
 that they agree; a disagreement is a bug, not a property of the input.
+
+The integers are built once per input and tolerance: each leg,
+:func:`verify_support` and :func:`~seqineq.core.classify` read what they
+need from the one memoized ``convexity_slack(u, tol)`` (the slack,
+``u + phi`` and phi's steps) and modify none of it.  The legs stay
+separate computations over it.
 """
 
 from __future__ import annotations
@@ -106,20 +112,6 @@ class ConvexityCertificate:
         return self.defining.is_convex
 
 
-def _tilted(ys: list[int], slack: list[int]) -> tuple[list[int], list[int]]:
-    """``u + phi`` and the steps of phi, from :func:`~seqineq.core.convexity_slack`.
-
-    Returns ``(ty, lift)`` over the same denominator as ``ys``: ``ty[k]`` is
-    ``u + phi`` at the k-th entry, and ``lift[k]`` is phi's step from the
-    k-th entry to the next, the sum of the slacks at the interior entries
-    up to k.  ``lift`` has one entry per entry of u; the last repeats the
-    one before, as if the slack past the last entry were 0.
-    """
-    lift = list(accumulate([*slack, 0], initial=0))
-    steps = [b - a + rise for a, b, rise in zip(ys, ys[1:], lift)]
-    return list(accumulate(steps, initial=ys[0])), lift
-
-
 def _supporting_lines(ty: list[int]):
     """Return ``holds(k, p, q)``: whether a line lies on or below every point.
 
@@ -164,7 +156,7 @@ def check_defining_inequality(
     rounded once.  A defect beyond the float range is raised as a
     ``ValueError`` naming ``u[n-1..n+1]``.
     """
-    ys, slack, den = convexity_slack(u, tol)
+    ys, slack, den, *_ = convexity_slack(u, tol)
     violations = []
     for n, x, y, z, s in zip(u.indices()[1:], ys, ys[1:], ys[2:], slack):
         defect = 2 * y - x - z
@@ -196,8 +188,7 @@ def check_three_point_slopes(
     and reports the first violating triple; it exists so the equivalence of
     the criteria can be tested without shortcuts.  Both are exact.
     """
-    ys, slack, _ = convexity_slack(u, tol)
-    ty, _ = _tilted(ys, slack)
+    *_, ty, _ = convexity_slack(u, tol)
     base = u.start_index
     n = len(ty)
     if exhaustive:
@@ -282,8 +273,7 @@ def verify_support(
     """
     if not (u.start_index <= s.first_index and s.last_index <= u.last_index):
         raise ValueError("support window outside sequence range")
-    ys, slack, den = convexity_slack(u, tol)
-    ty, lift = _tilted(ys, slack)
+    *_, den, ty, lift = convexity_slack(u, tol)
     base = u.start_index
     rows = []  # (n, p, q): v[n] + lift[n] == p / (q * den)
     for n, vn in enumerate(map(float, s.values), s.first_index):
@@ -319,8 +309,7 @@ def certify_convexity(
     """
     defining = check_defining_inequality(u, tol)
     slopes = check_three_point_slopes(u, tol)
-    ys, slack, _ = convexity_slack(u, tol)
-    ty, _ = _tilted(ys, slack)
+    *_, ty, _ = convexity_slack(u, tol)
     steps = [b - a for a, b in zip(ty, ty[1:])]
     least = list(accumulate(reversed(steps), min))[::-1]
     holds = _supporting_lines(ty)

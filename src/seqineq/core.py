@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
+from functools import lru_cache
+from itertools import accumulate
 
 def frozen(cls=None, /, *, hidden=()):
     """Make ``cls`` an immutable value class over its annotated fields.
@@ -285,26 +287,39 @@ def mediant_bounds(a: Iterable[float], b: Iterable[float]) -> MediantReport:
     return MediantReport(min(ratios), sum(av) / sum(bv), max(ratios))
 
 
+@lru_cache(maxsize=1)
 def convexity_slack(
     u: Sequence, tol: ToleranceConfig = DEFAULT_TOLERANCE
-) -> tuple[list[int], list[int], int]:
+) -> tuple[list[int], list[int], int, list[int], list[int]]:
     """The package's one tolerance rule for convexity, in exact integers.
 
-    Returns ``(ys, slack, den)`` with ``u.values[k] == ys[k] / den`` for every
-    k and, for every interior k, ``slack[k - 1] / den`` equal to
+    Returns ``(ys, slack, den, ty, lift)`` over one denominator ``den``:
+    ``u.values[k] == ys[k] / den`` for every k and, for every interior k,
+    ``slack[k - 1] / den`` equal to
 
         s = max(abs_tol, rel_tol * max(|2*u[k]|, |u[k-1] + u[k+1]|))
 
     with no rounding.  u is convex within tolerance iff ``u + phi`` is
     convex, where phi is 0 at the first two indices and its second
     difference at k is s; that is, iff ``2*u[k] <= u[k-1] + u[k+1] + s`` at
-    every interior k.  The floats and both tolerances are dyadic rationals,
-    so one power of two ``den`` clears every denominator, and a verdict
-    drawn from these integers is exact about the binary floats: nothing
-    overflows and nothing rounds.
+    every interior k.  ``ty[k] / den`` is ``u + phi`` at the k-th entry,
+    and ``lift[k] / den`` is phi's step from the k-th entry to the next,
+    the sum of the slacks at the interior entries up to k; ``lift`` has one
+    entry per entry of u (two for a singleton), the last repeating the one
+    before, as if the slack past the last entry were 0.  The floats and
+    both tolerances are dyadic rationals, so one power of two ``den``
+    clears every denominator, and a verdict drawn from these integers is
+    exact about the binary floats: nothing overflows and nothing rounds.
+
+    The result for the last ``(u, tol)`` is kept (``lru_cache(maxsize=1)``),
+    so the legs of one certificate and :func:`classify` share one build;
+    equal sequences and tolerances share it too, and it holds u and its
+    integers until another input replaces it.  The memo keys on the
+    arguments as passed, so callers pass both positionally; the lists are
+    shared, so no caller may modify them.
 
     >>> convexity_slack(Sequence((0, 1, 0), 0), ToleranceConfig(0.5, 0.0))
-    ([0, 2, 0], [1], 2)
+    ([0, 2, 0], [1], 2, [0, 2, 1], [0, 1, 1])
     """
     ys, den = dyadic_integers(u.values)
     a, b = tol.rel_tol.as_integer_ratio()
@@ -313,7 +328,10 @@ def convexity_slack(
     least = c * den * (scale // d)
     rel = a * (scale // b)
     slack = [max(least, rel * max(abs(2 * y), abs(x + z))) for x, y, z in zip(ys, ys[1:], ys[2:])]
-    return [y * scale for y in ys], slack, den * scale
+    ys = [y * scale for y in ys]
+    lift = list(accumulate([*slack, 0], initial=0))
+    steps = [y - x + rise for x, y, rise in zip(ys, ys[1:], lift)]
+    return ys, slack, den * scale, list(accumulate(steps, initial=ys[0])), lift
 
 
 def classify(u: Sequence, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> ClassificationFlags:
@@ -335,7 +353,7 @@ def classify(u: Sequence, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Classific
     nonnegative = all(tol.leq(0.0, x) for x in v)
     increasing = all(tol.leq(x, y) for x, y in zip(v, v[1:]))
     decreasing = all(tol.leq(y, x) for x, y in zip(v, v[1:]))
-    ys, slack, _ = convexity_slack(u, tol)
+    ys, slack, *_ = convexity_slack(u, tol)
     seconds = [x - 2 * y + z for x, y, z in zip(ys, ys[1:], ys[2:])]
     convex = all(-s <= d for d, s in zip(seconds, slack))
     concave = all(d <= s for d, s in zip(seconds, slack))

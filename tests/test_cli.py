@@ -28,6 +28,7 @@ from corpus import (
     random_values,
 )
 from seqineq import (
+    CONDITIONING_WARN_DEGREE,
     Sequence,
     parse_sequence_csv,
     parse_sequence_json,
@@ -859,7 +860,12 @@ def test_the_tracing_shim_still_times_each_layer(tmp_path, argv, span):
     trace = json.loads((tmp_path / "trace.json").read_text())
     assert trace["missing"] == ["seqineq.cli.is_subadditive_pairwise", "seqineq.cli.spline_eval"]
     spans = {s[0] for s in trace["spans"]}
-    assert {span, "sequence_io.read", "run_cli"} <= spans
+    required = {span, "sequence_io.read", "run_cli"}
+    if argv[0] == "check-convex":
+        # certify_convexity calls both public legs by name; inlined legs
+        # would read 0 in convexity.defining_s and convexity.slopes_s.
+        required |= {"convexity.defining", "convexity.slopes"}
+    assert required <= spans
 
 
 # ------------------------------------------------------------- global options
@@ -949,6 +955,65 @@ def test_spline_samples_are_spline_eval_bit_for_bit(values, base, per_unit):
     for row in rows:
         x, y = row.split(",")
         assert y == repr(spline_eval(u, float(x)))
+
+
+# The refusals that a finite input may meet in check-convex, support,
+# spline and lagrange; anything else on stderr with exit 2 is a bug.
+ALLOWED_REFUSALS = re.compile(
+    r"error: (sequence too short"
+    r"|degree \d+ above supported maximum \d+"
+    r"|second difference of u\[\d+\.\.\d+\] overflows"
+    r"|quadratic piece at n=\d+ overflows"
+    r"|support sequence overflows at n=\d+: .*"
+    r"|coefficient of x\^\d+ of the interpolant overflows)\n"
+)
+CONDITIONING_WARNING = re.compile(r"warning: monomial coefficients of a degree-\d+ interpolant .*\n")
+
+
+def _entries(element):
+    return st.lists(element, min_size=1, max_size=70)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.one_of(
+        _entries(st.tuples(st.booleans(), st.floats(1e-310, 1.7e308)).map(lambda t: -t[1] if t[0] else t[1])),
+        _entries(st.integers(-10**5, 10**5).map(lambda k: k / 10)),
+        _entries(st.integers(-10**5, 10**5).map(lambda k: k / 100)),
+        _entries(st.floats(-1e-3, 1e-3).map(lambda x: 1e6 + x)),
+    ),
+    base=st.sampled_from((0, 1)),
+    suffix=st.sampled_from(("csv", "json")),
+    fmt=st.sampled_from(("json", "csv")),
+    tol=st.sampled_from(([], ["--abs-tol", "0", "--rel-tol", "0"])),
+)
+@example(values=[1.0] * 66, base=0, suffix="csv", fmt="json", tol=[])
+@example(values=[0.0, 1.7e308, 0.0], base=0, suffix="csv", fmt="json", tol=[])
+@example(values=[1.7e308, -1.7e308, 1.7e308], base=1, suffix="json", fmt="csv", tol=[])
+def test_convexity_and_interpolation_commands_report_or_refuse(values, base, suffix, fmt, tol):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"u.{suffix}")
+        write_sequence(path, Sequence(tuple(values), base))
+        for command in ("check-convex", "support", "spline", "lagrange"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run_cli([command, path, "--format", fmt, *tol])
+            out, err = out.getvalue(), err.getvalue()
+            if code == 2:
+                assert out == "", command
+                assert ALLOWED_REFUSALS.fullmatch(err), (command, err)
+                continue
+            assert code in (0, 1), (command, code)
+            if command == "lagrange" and len(values) > CONDITIONING_WARN_DEGREE + 1:
+                assert CONDITIONING_WARNING.fullmatch(err), err
+            else:
+                assert err == "", (command, err)
+            if fmt == "json":
+                VALIDATOR.validate(json.loads(out))
+            else:
+                rows = list(csv.reader(line for line in out.splitlines() if not line.startswith("# ")))
+                assert rows[0] in (["key", "value"], ["x", "y"]), command
+                assert all(len(row) == 2 for row in rows), command
 
 
 def test_output_is_deterministic(tmp_path, capsys):

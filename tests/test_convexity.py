@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
 
@@ -20,10 +21,13 @@ from seqineq import (
     check_three_point_slopes,
     classify,
     forward_differences,
+    read_sequence,
     slope,
     support_sequence,
     verify_support,
 )
+from seqineq import core
+from seqineq.cli import run_cli
 
 CONVEX_EXAMPLE = Sequence((0, -1, 1, 3), 0)
 SPIKE_EXAMPLE = Sequence((0, 1, 0), 0)
@@ -319,3 +323,52 @@ def test_the_legs_decide_one_exact_tolerance_model(case, base):
         q = [Fraction(x) for x in values]
         defect = max([Fraction(0)] + [2 * q[k] - q[k - 1] - q[k + 1] for k in range(1, len(q) - 1)])
         assert cert.is_convex == (defect <= Fraction(tol.abs_tol))
+
+
+# ------------------------------------------------- one exact form per input
+
+@pytest.mark.parametrize("flags, tol", [([], DEFAULT), (["--abs-tol", "0", "--rel-tol", "0"], ZERO)])
+def test_check_convex_builds_the_exact_form_once(tmp_path, capsys, monkeypatch, flags, tol):
+    calls = []
+    dyadic_integers = core.dyadic_integers
+
+    def counted(values):
+        calls.append(values)
+        return dyadic_integers(values)
+
+    monkeypatch.setattr(core, "dyadic_integers", counted)
+    path = tmp_path / "u.csv"
+    path.write_text("# start_index=0\n-0.0\n1\n-0.0\n3\n0.5\n")
+    core.convexity_slack.cache_clear()
+    assert run_cli(["check-convex", str(path), *flags]) == 1
+    capsys.readouterr()
+    assert len(calls) == 1  # the two legs, the support leg and classify share it
+    minus = read_sequence(path)
+    verify_support(minus, support_sequence(minus), tol)
+    assert len(calls) == 1
+
+    # An equal input reads the same entry, and no reader modifies it.
+    plus = Sequence(tuple(x + 0.0 for x in minus.values), 0)
+    assert plus == minus and repr(plus) != repr(minus)
+    readers = (
+        lambda u: check_defining_inequality(u, tol),
+        lambda u: check_three_point_slopes(u, tol),
+        lambda u: check_three_point_slopes(u, tol, True),
+        lambda u: verify_support(u, support_sequence(u), tol),
+        lambda u: certify_convexity(u, tol),
+        lambda u: classify(u, tol),
+    )
+    form = copy.deepcopy(core.convexity_slack(plus, tol))
+    warm = []
+    for u in (plus, minus):
+        for read in readers:
+            warm.append(read(u))
+            assert core.convexity_slack(u, tol) == form
+    assert len(calls) == 1
+    cold = []
+    for u in (plus, minus):
+        for read in readers:
+            core.convexity_slack.cache_clear()
+            cold.append(read(u))
+    assert repr(warm) == repr(cold)
+    assert len(calls) == 1 + 2 * len(readers)
